@@ -20,43 +20,22 @@ from typing import Callable, Optional
 
 from repro.elf.binary import Perm
 from repro.isa.decoding import IllegalEncodingError, decode
-from repro.isa.extensions import Extension, IsaProfile, RV64GCV
-from repro.isa.fields import sign_extend, to_unsigned64
+from repro.isa.extensions import IsaProfile, RV64GCV
 from repro.isa.instructions import Instruction
 from repro.sim.cost import CostModel, DEFAULT_ARCH
 from repro.sim.faults import (
-    BreakpointTrap,
-    EcallTrap,
     IllegalInstructionFault,
     SimFault,
     SimulationLimitExceeded,
 )
 from repro.sim.memory import AddressSpace
+from repro.sim.semantics import (
+    CTRL_MNEMONICS, FACTORIES, M, RUNTIME, trace_source,
+)
 from repro.sim.vector import VectorUnit
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK32 = 0xFFFFFFFF
-
-#: Mnemonics that may redirect control flow; they terminate superblocks.
-#: ecall/ebreak raise, so they end a block the same way a jump does.
-_CTRL_MNEMONICS = frozenset({
-    "jal", "jalr", "beq", "bne", "blt", "bge", "bltu", "bgeu",
-    "ecall", "ebreak",
-    "c.j", "c.jr", "c.jalr", "c.beqz", "c.bnez", "c.ebreak",
-})
 
 #: Straight-line run length cap per superblock.
 _MAX_BLOCK_OPS = 128
-
-#: Conditional branches: inside a trace they become guards whose
-#: recorded direction is checked on every pass.
-_COND_BRANCHES = frozenset({
-    "beq", "bne", "blt", "bge", "bltu", "bgeu", "c.beqz", "c.bnez",
-})
-
-#: Indirect jumps: inside a trace the computed target is guarded
-#: against the recorded one.
-_INDIRECT_JUMPS = frozenset({"jalr", "c.jr", "c.jalr"})
 
 #: Trace-tier shape caps: blocks chained per trace / flat ops per trace.
 _MAX_TRACE_BLOCKS = 64
@@ -74,15 +53,16 @@ DEFAULT_TRACE_THRESHOLD = 16
 class _Trace:
     """One recorded hot trace: superblocks chained across taken branches.
 
-    ``ops`` is a flat list of ``(pc, nxt, expected, instr, handler,
-    cost, cost_taken)`` — ``expected`` is the pc the recording observed
+    ``ops`` is a flat list of ``(pc, nxt, expected, instr, op, cost,
+    cost_taken)`` — ``expected`` is the pc the recording observed
     execution continuing at, so every former branch site doubles as a
-    guard: an op whose handler leaves ``cpu.pc`` anywhere other than
+    guard: a pass whose branch or indirect jump goes anywhere other than
     ``expected`` side-exits the trace with the architectural state
     already exact (the op retired, the pc is wherever the branch really
     went).  ``loops`` marks a trace whose last op returns to ``entry``;
     those replay in a closed loop without re-entering the dispatcher,
-    revalidating segment versions at every loop edge.
+    revalidating segment versions at every loop edge.  ``fn`` is the
+    compiled pass and ``cyc`` its per-op prefix cycle sums.
     """
 
     __slots__ = ("entry", "ops", "n", "pcs", "ranges", "versions",
@@ -96,13 +76,7 @@ class _Trace:
         self.ranges = ranges
         self.versions = versions
         self.loops = loops
-        self.fn = None   # exec-compiled pass function (trace_compile)
-        self.cyc = None  # per-op prefix cycle sums (compiled fault path)
-
-
-def _s(value: int) -> int:
-    """Unsigned-64 storage -> signed value."""
-    return value - 0x1_0000_0000_0000_0000 if value & 0x8000_0000_0000_0000 else value
+        self.fn, self.cyc = _compile_trace(ops)
 
 
 class Cpu:
@@ -117,7 +91,6 @@ class Cpu:
         block_cache: bool = True,
         trace_cache: bool = True,
         trace_threshold: int = DEFAULT_TRACE_THRESHOLD,
-        trace_compile: bool = True,
     ):
         self.space = space
         self.profile = profile
@@ -132,7 +105,8 @@ class Cpu:
         #: handlers attribute a fetch fault to the jump that caused it
         #: (e.g. a SMILE jalr whose gp was clobbered before recovery).
         self.last_pc: Optional[int] = None
-        #: Optional per-retired-instruction hook (see repro.sim.trace).
+        #: Optional per-retired-instruction hook (see
+        #: repro.telemetry.exec_trace).
         self.tracer = None
         #: Optional pre-fetch hook called with this cpu before every
         #: instruction; may raise a structured :class:`SimFault`.  The
@@ -153,16 +127,18 @@ class Cpu:
         #: counter.  Off by default — telemetry flips it on so existing
         #: tests asserting exact counter contents are unaffected.
         self.count_decode = False
-        # decode cache: addr -> (instr, handler, tag, seg, seg_version)
+        # decode cache: addr -> (instr, op, tag, seg, seg_version), where
+        # op is the instruction's closure from repro.sim.semantics
         self._dcache: dict[int, tuple[Instruction, Callable, Optional[str], object, int]] = {}
         #: Superblock engine switch: when True, :meth:`run` executes
         #: straight-line runs from a basic-block cache; when any hook
         #: (step_hook/tracer/tag_addrs) is live it falls back to
         #: :meth:`step` so chaos/self-heal/telemetry semantics hold.
         self.block_cache = block_cache
-        # superblock cache: entry pc -> (ops, seg, seg_version, start, end)
-        # where ops = [(pc, next_pc, instr, handler, cost, cost_taken)].
-        self._bcache: dict[int, tuple[list, object, int, int, int]] = {}
+        # superblock cache: entry pc -> (code, seg, seg_version, start,
+        # end), code = (ops, body, body_cost) where ops = [(pc, next_pc,
+        # instr, op, cost, cost_taken)] and body = the ops but the last.
+        self._bcache: dict[int, tuple[tuple, object, int, int, int]] = {}
         #: Trace tier switch: when True (and the block cache is on), hot
         #: superblock entries are linked into cross-branch traces that
         #: replay without per-branch dispatch.  Requires the block cache;
@@ -171,10 +147,6 @@ class Cpu:
         #: Cached-superblock executions at one entry pc before a trace
         #: is recorded from it.
         self.trace_threshold = max(1, trace_threshold)
-        #: When True, registered traces are compiled to a single exec'd
-        #: Python closure (one function call per trace pass); when False
-        #: they run through the interpreted flat-op loop.
-        self.trace_compile = trace_compile
         # trace cache: entry pc -> _Trace
         self._tcache: dict[int, _Trace] = {}
         # hot-block profiler: superblock entry pc -> cached-hit count
@@ -194,7 +166,7 @@ class Cpu:
     def set_reg(self, idx: int, value: int) -> None:
         """Write an integer register (writes to x0 are discarded)."""
         if idx:
-            self.regs[idx] = value & _MASK64
+            self.regs[idx] = value & M
 
     def bump(self, counter: str, amount: int = 1) -> None:
         """Increment a named event counter."""
@@ -285,11 +257,15 @@ class Cpu:
             instr = decode(seg.data, pc - seg.base, addr=pc)
         except IllegalEncodingError as exc:
             raise IllegalInstructionFault(pc, exc.kind, str(exc)) from exc
-        handler = _HANDLERS.get(instr.mnemonic)
-        if handler is None:
+        make = FACTORIES.get(instr.mnemonic)
+        if make is None:
             raise IllegalInstructionFault(pc, "unknown", f"no semantics for {instr.mnemonic}")
         if instr.extension not in self.profile.extensions:
-            handler = _unsupported
+            handler = _unsupported(instr)
+        else:
+            # May raise the entry's own structured fault (a vsetvli
+            # vtype no tier can run) -- at this pc, like a bad encoding.
+            handler = make(instr)
         tag = self.tag_addrs.get(pc) if self.tag_addrs else None
         self._dcache[pc] = (instr, handler, tag, seg, seg.version)
         return instr, handler, tag
@@ -310,7 +286,7 @@ class Cpu:
             instr, handler, tag = self._decode_at(pc)
             self.pc = pc + instr.length
             try:
-                taken = handler(self, instr)
+                taken = handler(self)
             except Exception:
                 self.pc = pc  # leave pc at the faulting instruction
                 raise
@@ -371,22 +347,20 @@ class Cpu:
                             if s.version != v:
                                 valid = False
                                 break
-                        if valid:
+                        if not valid:
+                            del tcache[pc]
+                            attempts.pop(pc, None)
+                            self.counters["traces_invalidated"] += 1
+                        elif remaining >= trace.n:
                             thits += 1
                             # Keep the histogram live after promotion so
                             # ``hot_blocks`` reports real dispatch counts,
                             # not counts saturated at the threshold.
                             hot[pc] = hot.get(pc, 0) + 1
-                            if trace.fn is not None and remaining >= trace.n:
-                                executed = self._exec_trace_compiled(
-                                    trace, remaining)
-                            else:
-                                executed = self._exec_trace(trace, remaining)
-                            remaining -= executed
+                            remaining -= self._run_trace(trace, remaining)
                             continue
-                        del tcache[pc]
-                        attempts.pop(pc, None)
-                        self.counters["traces_invalidated"] += 1
+                        # A budget tail shorter than one pass runs on the
+                        # block tier, which truncates exactly on budget.
                 block = bcache.get(pc)
                 if block is None or block[1].version != block[2]:
                     try:
@@ -424,16 +398,19 @@ class Cpu:
     def _build_block(self, pc: int) -> tuple[list, object, int, int, int]:
         """Decode the straight-line run starting at *pc* into a superblock.
 
-        The block ends at the first control-flow instruction, at the
-        segment edge, at an instruction the profile cannot execute, or
-        at the op cap.  A decode failure past the entry just ends the
-        block early: execution reaches that pc architecturally and the
-        fault is raised from there with the exact :meth:`step` protocol.
+        Each op is the instruction's closure from the decode cache.  The
+        block ends at the first control-flow instruction, at the segment
+        edge, at an instruction the profile cannot execute, or at the op
+        cap.  A decode failure past the entry (or an op whose closure
+        cannot be built) just ends the block early: execution reaches
+        that pc architecturally and the fault is raised from there with
+        the exact :meth:`step` protocol.
         """
         seg = self.space.fetch_segment(pc)  # raises SegmentationFault(exec)
         version = seg.version
         seg_end = seg.end
         instruction_cost = self.cost.instruction_cost
+        extensions = self.profile.extensions
         ops: list = []
         cur = pc
         while len(ops) < _MAX_BLOCK_OPS:
@@ -443,60 +420,65 @@ class Cpu:
                 if ops:
                     break  # fault raised when execution actually gets there
                 raise
-            fn = handler
-            if handler is not _unsupported:
-                spec = _SPECIALIZERS.get(instr.mnemonic)
-                if spec is not None:
-                    fn = spec(instr) or handler
             nxt = cur + instr.length
-            ops.append((cur, nxt, instr, fn,
+            ops.append((cur, nxt, instr, handler,
                         instruction_cost(instr, taken=False),
                         instruction_cost(instr, taken=True)))
-            if instr.mnemonic in _CTRL_MNEMONICS or handler is _unsupported:
+            if (instr.mnemonic in CTRL_MNEMONICS
+                    or instr.extension not in extensions):
                 break
             cur = nxt
             if cur >= seg_end:
                 break
-        block = (ops, seg, version, pc, ops[-1][1])
+        # Only the last op can redirect control: the others run back to
+        # back, with their (never-taken) costs summed once here.
+        body = ops[:-1]
+        code = (ops, tuple(op[3] for op in body), sum(op[4] for op in body))
+        block = (code, seg, version, pc, ops[-1][1])
         self._bcache[pc] = block
         return block
 
-    def _exec_block(self, ops: list, limit: int) -> int:
+    def _exec_block(self, code: tuple, limit: int) -> int:
         """Execute up to *limit* ops of one superblock; returns retired count.
 
-        Mirrors :meth:`step` exactly on the fault path: pc restored to
-        the faulting instruction, ``fault.pc`` filled, ``fault_hook``
-        fired, and only retired ops counted toward instret/cycles.
+        ``code`` is ``(ops, body, body_cost)`` from :meth:`_build_block`.
+        The body ops neither read nor move the pc, so ``cpu.pc`` is set
+        once, for the last op.  Mirrors :meth:`step` exactly on the
+        fault path: pc restored to the faulting instruction, ``fault.pc``
+        filled, ``fault_hook`` fired, and only retired ops counted toward
+        instret/cycles.
         """
-        if len(ops) > limit:
-            ops = ops[:limit]
-        executed = 0
-        cycles = 0
-        pc = self.pc
+        ops, body, body_cost = code
+        k = 0
         try:
-            for pc, nxt, instr, handler, cost, cost_taken in ops:
+            if len(ops) > limit:  # budget tail: a run of body ops only
+                for k, op in enumerate(body[:limit]):
+                    op(self)
+                k = limit
+                self.pc = ops[limit][0]
+                cycles = sum(o[4] for o in ops[:limit])
+            else:
+                for k, op in enumerate(body):
+                    op(self)
+                k = len(body)
+                _pc, nxt, _instr, op, cost, cost_taken = ops[k]
                 self.pc = nxt
-                if handler(self, instr):
-                    cycles += cost_taken
-                else:
-                    cycles += cost
-                executed += 1
-                if self.pc != nxt:
-                    break
+                cycles = body_cost + (cost_taken if op(self) else cost)
+                k += 1
         except SimFault as fault:
-            self.pc = pc
-            self._commit(executed, cycles, ops, count=True)
+            pc = self.pc = ops[k][0]
+            self._commit(k, sum(o[4] for o in ops[:k]), ops, count=True)
             if fault.pc is None:
                 fault.pc = pc
             if self.fault_hook is not None:
                 self.fault_hook(self, fault)
             raise
         except Exception:
-            self.pc = pc
-            self._commit(executed, cycles, ops, count=True)
+            self.pc = ops[k][0]
+            self._commit(k, sum(o[4] for o in ops[:k]), ops, count=True)
             raise
-        self._commit(executed, cycles, ops)
-        return executed
+        self._commit(k, cycles, ops)
+        return k
 
     def _commit(self, executed: int, cycles: int, ops: list,
                 count: bool = False) -> None:
@@ -555,8 +537,9 @@ class Cpu:
                         if self.fault_hook is not None:
                             self.fault_hook(self, fault)
                         raise
-                ops, seg, version, start, stop = block
-                executed = self._exec_block(ops, budget - total)
+                code, seg, version, start, stop = block
+                ops = code[0]
+                executed = self._exec_block(code, budget - total)
                 total += executed
                 if executed < len(ops):
                     return total  # budget truncation: discard the recording
@@ -590,84 +573,22 @@ class Cpu:
             for seg, version, _s_, _e_ in ranges:
                 if seg.version != version:
                     return total  # code changed mid-recording: discard
-            trace = _Trace(entry, flat, ranges, versions, loops)
-            if self.trace_compile:
-                trace.fn, trace.cyc = _compile_trace(flat)
-            self._tcache[entry] = trace
+            self._tcache[entry] = _Trace(entry, flat, ranges, versions, loops)
             attempts.pop(entry, None)
             self.counters["traces_compiled"] += 1
         return total
 
-    def _exec_trace(self, trace: _Trace, limit: int) -> int:
-        """Interpret up to *limit* ops of one trace; returns retired count.
-
-        Each op sets ``pc`` to its fall-through before the handler runs
-        (exactly like :meth:`_exec_block`), then checks the recorded
-        continuation: a mismatch is a guard side exit — the op has
-        retired and ``pc`` already points where execution really went,
-        so the generic dispatcher just resumes there.  Looping traces
-        replay without leaving this frame, revalidating segment versions
-        at every loop edge so W|X stores keep bit-identical semantics
-        with the block tier.
-        """
-        ops = trace.ops
-        n = trace.n
-        pcs = trace.pcs
-        loops = trace.loops
-        versions = trace.versions
-        executed = 0
-        cycles = 0
-        side = 0
-        pc = self.pc
-        try:
-            while True:
-                ops_run = ops if n <= limit - executed else ops[:limit - executed]
-                diverged = False
-                for pc, nxt, expected, instr, handler, cost, cost_taken in ops_run:
-                    self.pc = nxt
-                    if handler(self, instr):
-                        cycles += cost_taken
-                    else:
-                        cycles += cost
-                    executed += 1
-                    if self.pc != expected:
-                        diverged = True
-                        break
-                if diverged:
-                    side = 1
-                    break
-                if not loops or executed >= limit:
-                    break
-                stale = False
-                for s, v in versions:
-                    if s.version != v:
-                        stale = True
-                        break
-                if stale:
-                    break
-        except SimFault as fault:
-            self.pc = pc
-            self._commit_trace(executed, cycles, pcs, side)
-            if fault.pc is None:
-                fault.pc = pc
-            if self.fault_hook is not None:
-                self.fault_hook(self, fault)
-            raise
-        except Exception:
-            self.pc = pc
-            self._commit_trace(executed, cycles, pcs, side)
-            raise
-        self._commit_trace(executed, cycles, pcs, side)
-        return executed
-
-    def _exec_trace_compiled(self, trace: _Trace, limit: int) -> int:
+    def _run_trace(self, trace: _Trace, limit: int) -> int:
         """Run whole passes of a compiled trace; returns retired count.
 
         The caller guarantees ``limit >= trace.n`` so at least one full
-        pass fits; partial passes (budget tail) go through the
-        interpreted path instead.  On a fault the pass function left the
-        faulting op index in ``_trace_ex``; the recorded prefix cycle
-        sums reconstruct the exact partial accounting.
+        pass fits; :meth:`run` sends a shorter budget tail to the block
+        tier instead.  Looping traces replay without leaving this frame,
+        revalidating segment versions at every loop edge so W|X stores
+        keep bit-identical semantics with the block tier.  On a fault
+        the pass function left the faulting op index in ``_trace_ex``;
+        the recorded prefix cycle sums reconstruct the exact partial
+        accounting.
         """
         fn = trace.fn
         n = trace.n
@@ -753,102 +674,10 @@ def _trace_store_slow(cpu: Cpu, cell: list, addr: int, data: bytes) -> None:
         cell[1] = seg.data
 
 
-#: Sign bit for the xor trick: (a ^ SB) < (b ^ SB) unsigned ⇔ a <s b.
-_SB = 0x8000_0000_0000_0000
-
-#: Branch conditions over the register-file local ``r``, by mnemonic:
-#: (condition source, negated condition source).
-_BRANCH_SRC = {
-    "beq": ("r[{a}] == r[{b}]", "r[{a}] != r[{b}]"),
-    "bne": ("r[{a}] != r[{b}]", "r[{a}] == r[{b}]"),
-    "bltu": ("r[{a}] < r[{b}]", "r[{a}] >= r[{b}]"),
-    "bgeu": ("r[{a}] >= r[{b}]", "r[{a}] < r[{b}]"),
-    "blt": (f"(r[{{a}}] ^ {_SB}) < (r[{{b}}] ^ {_SB})",
-            f"(r[{{a}}] ^ {_SB}) >= (r[{{b}}] ^ {_SB})"),
-    "bge": (f"(r[{{a}}] ^ {_SB}) >= (r[{{b}}] ^ {_SB})",
-            f"(r[{{a}}] ^ {_SB}) < (r[{{b}}] ^ {_SB})"),
-    "c.beqz": ("r[{a}] == 0", "r[{a}] != 0"),
-    "c.bnez": ("r[{a}] != 0", "r[{a}] == 0"),
-}
-
-#: Register-register ALU expression bodies over operands {a}/{b}; the
-#: result is masked like set_reg.  Covers the generic-handler and
-#: compressed aliases that share field layout.
-_RR_SRC = {
-    "add": "(r[{a}] + r[{b}])",
-    "sub": "(r[{a}] - r[{b}])",
-    "c.sub": "(r[{a}] - r[{b}])",
-    "and": "(r[{a}] & r[{b}])",
-    "c.and": "(r[{a}] & r[{b}])",
-    "or": "(r[{a}] | r[{b}])",
-    "c.or": "(r[{a}] | r[{b}])",
-    "xor": "(r[{a}] ^ r[{b}])",
-    "c.xor": "(r[{a}] ^ r[{b}])",
-    "mul": "(r[{a}] * r[{b}])",
-    "sll": "(r[{a}] << (r[{b}] & 63))",
-    "srl": "(r[{a}] >> (r[{b}] & 63))",
-    "sra": f"((((r[{{a}}] ^ {_SB}) - {_SB}) >> (r[{{b}}] & 63)))",
-    "sh1add": "((r[{a}] << 1) + r[{b}])",
-    "sh2add": "((r[{a}] << 2) + r[{b}])",
-    "sh3add": "((r[{a}] << 3) + r[{b}])",
-}
-
-#: Immediate-shift expression bodies over operand {a} / literal {sh}.
-_SHIFT_SRC = {
-    "slli": "(r[{a}] << {sh})",
-    "c.slli": "(r[{a}] << {sh})",
-    "srli": "(r[{a}] >> {sh})",
-    "c.srli": "(r[{a}] >> {sh})",
-    "srai": f"(((r[{{a}}] ^ {_SB}) - {_SB}) >> {{sh}})",
-    "c.srai": f"(((r[{{a}}] ^ {_SB}) - {_SB}) >> {{sh}})",
-}
-
-#: Logic-immediate expression bodies ({imm} already masked to 64 bits).
-_LOGIC_IMM_SRC = {
-    "andi": "(r[{a}] & {imm})",
-    "c.andi": "(r[{a}] & {imm})",
-    "ori": "(r[{a}] | {imm})",
-    "xori": "(r[{a}] ^ {imm})",
-}
-
-_ADDI_MNEMONICS = frozenset({"addi", "c.addi", "c.addi4spn"})
-_ADDIW_MNEMONICS = frozenset({"addiw", "c.addiw"})
-
-#: Loads: mnemonic -> (width bytes, signed).
-_LOAD_SRC = {
-    "lb": (1, True), "lh": (2, True), "lw": (4, True), "ld": (8, True),
-    "lbu": (1, False), "lhu": (2, False), "lwu": (4, False),
-    "c.lw": (4, True), "c.ld": (8, True),
-    "c.lwsp": (4, True), "c.ldsp": (8, True),
-}
-
-#: Stores: mnemonic -> width bytes.
-_STORE_SRC = {
-    "sb": 1, "sh": 2, "sw": 4, "sd": 8,
-    "c.sw": 4, "c.sd": 8, "c.swsp": 4, "c.sdsp": 8,
-}
-
-#: Ops with no architectural effect: compiled to nothing (cost folded).
-_NOP_MNEMONICS = frozenset({"fence", "c.nop"})
-
-#: Vector unit-stride memory ops: mnemonic -> element bits.
-_VLOAD_SRC = {"vle32.v": 32, "vle64.v": 64}
-_VSTORE_SRC = {"vse32.v": 32, "vse64.v": 64}
-
-#: Elementwise vector-vector ALU ops inlined as bulk bytearray loops.
-_VV_SRC = {
-    "vadd.vv": "+", "vsub.vv": "-", "vmul.vv": "*",
-    "vand.vv": "&", "vor.vv": "|", "vxor.vv": "^",
-}
-
-#: Elementwise vector-scalar ALU ops (operand ``x_`` from the x-file).
-_VX_SRC = {"vadd.vx": "+", "vsub.vx": "-", "vmul.vx": "*"}
-
-
 def _trace_vmem_prime(cpu: Cpu, cell: list, addr: int, write: bool) -> None:
     """Prime a vector memory op's segment cell after a slow-path access.
 
-    Called after the generic handler completed (so permissions were
+    Called after the op's closure completed (so permissions were
     already checked element by element); store cells only accept plain
     data segments so W|X version bumps never get bypassed."""
     seg = cpu.space.segment_at(addr)
@@ -863,346 +692,20 @@ def _trace_vmem_prime(cpu: Cpu, cell: list, addr: int, write: bool) -> None:
 def _compile_trace(ops: list) -> tuple[Callable, tuple]:
     """Compile a trace's flat op list into one exec'd pass function.
 
-    This is the trace tier's specialization level above ``_SPECIALIZERS``:
-    instead of calling per-op closures, the hot RV64 subset is inlined
-    as direct register-file expressions (``r[rd] = (r[rs1] + imm) & M``),
-    loads/stores get a per-op segment inline cache (bounds-checked slice
-    access against the resolved segment's backing bytearray, miss/fault
-    through the full permission-checked path), conditional branches
-    compile to native ``if`` guards on their recorded direction, and
-    direct jumps vanish entirely — the pc is only materialized at trace
-    exits.  Cycle costs fold into compile-time prefix sums, sound
-    because a trace's branch directions are statically recorded.
-
-    A pass returns ``(retired, cycles, diverged)``.  Guard side exits
-    set ``cpu.pc`` to wherever execution really went before returning.
-    Faults escape with the faulting op's index in ``cpu._trace_ex``; the
-    caller combines it with the returned prefix-cycle table to settle
-    partial state exactly.  Anything outside the inlined subset (vector,
-    mulh/div families, W-ops) falls back to calling its superblock
-    handler — same semantics, one call deeper.
+    The source comes from :func:`repro.sim.semantics.trace_source`; this
+    wraps it with the source -> code memo and binds the pass to the
+    trace's ops and the inline-cache miss paths.  Returns the pass and
+    the per-op prefix cycle sums the fault path settles partial passes
+    with.
     """
-    from repro.isa.encoding import decode_vtype
-
-    n = len(ops)
-    M = _MASK64
-    head = ["def _make(OPS, LD, ST, VM):"]
-    body = ["    def _pass(cpu, length=len, FB=int.from_bytes):",
-            "        r = cpu.regs",
-            "        ex = 0",
-            "        try:"]
-    H = head.append
-    A = body.append
-    E = "            "
-    cyc = 0
-    prefix = []
-    for k, (pc, nxt, expected, instr, handler, cost, cost_taken) in enumerate(ops):
-        prefix.append(cyc)
-        m = instr.mnemonic
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-        if m in _NOP_MNEMONICS:
-            cyc += cost
-            continue
-        if m in _ADDI_MNEMONICS:
-            if rd:
-                if imm == 0:
-                    A(f"{E}r[{rd}] = r[{rs1}]" if rs1 else f"{E}r[{rd}] = 0")
-                elif rs1 == 0:
-                    A(f"{E}r[{rd}] = {imm & M}")
-                else:
-                    A(f"{E}r[{rd}] = (r[{rs1}] + {imm}) & {M}")
-            cyc += cost
-            continue
-        if m in _RR_SRC:
-            if rd:
-                expr = _RR_SRC[m].format(a=rs1, b=rs2)
-                A(f"{E}r[{rd}] = {expr} & {M}")
-            cyc += cost
-            continue
-        if m in _LOAD_SRC:
-            width, signed = _LOAD_SRC[m]
-            bits = width * 8
-            addr_src = (f"(r[{rs1}] + {imm}) & {M}" if imm else f"r[{rs1}]")
-            A(f"{E}a = {addr_src}")
-            A(f"{E}o = a - C{k}[0]; d = C{k}[1]")
-            A(f"{E}if d is not None and 0 <= o <= length(d) - {width}:")
-            A(f"{E}    v = FB(d[o:o + {width}], 'little')")
-            A(f"{E}else:")
-            A(f"{E}    ex = {k}")
-            A(f"{E}    v = LD(cpu, C{k}, a, {width})")
-            if rd:
-                if signed and bits < 64:
-                    sign = 1 << (bits - 1)
-                    ext = M ^ ((1 << bits) - 1)
-                    A(f"{E}r[{rd}] = v | {ext} if v & {sign} else v")
-                else:
-                    A(f"{E}r[{rd}] = v")
-            H(f"    C{k} = [0, None]")
-            cyc += cost
-            continue
-        if m in _STORE_SRC:
-            width = _STORE_SRC[m]
-            val_src = (f"r[{rs2}]" if width == 8
-                       else f"(r[{rs2}] & {(1 << (width * 8)) - 1})")
-            addr_src = (f"(r[{rs1}] + {imm}) & {M}" if imm else f"r[{rs1}]")
-            A(f"{E}a = {addr_src}")
-            A(f"{E}o = a - C{k}[0]; d = C{k}[1]")
-            A(f"{E}if d is not None and 0 <= o <= length(d) - {width}:")
-            A(f"{E}    d[o:o + {width}] = {val_src}.to_bytes({width}, 'little')")
-            A(f"{E}else:")
-            A(f"{E}    ex = {k}")
-            A(f"{E}    ST(cpu, C{k}, a, {val_src}.to_bytes({width}, 'little'))")
-            H(f"    C{k} = [0, None]")
-            cyc += cost
-            continue
-        if m in _SHIFT_SRC:
-            if rd:
-                expr = _SHIFT_SRC[m].format(a=rs1, sh=imm)
-                A(f"{E}r[{rd}] = {expr} & {M}")
-            cyc += cost
-            continue
-        if m in _LOGIC_IMM_SRC:
-            if rd:
-                expr = _LOGIC_IMM_SRC[m].format(a=rs1, imm=imm & M)
-                A(f"{E}r[{rd}] = {expr}")
-            cyc += cost
-            continue
-        if m in _BRANCH_SRC:
-            cond, ncond = _BRANCH_SRC[m]
-            target = (instr.addr + imm) & M
-            if expected != nxt:  # recorded taken: not-taken side-exits
-                A(f"{E}if {ncond.format(a=rs1, b=rs2)}:")
-                A(f"{E}    cpu.pc = {nxt}")
-                A(f"{E}    return ({k + 1}, {cyc + cost}, True)")
-                cyc += cost_taken
-            else:  # recorded not-taken: taken side-exits
-                A(f"{E}if {cond.format(a=rs1, b=rs2)}:")
-                A(f"{E}    cpu.pc = {target}")
-                A(f"{E}    return ({k + 1}, {cyc + cost_taken}, True)")
-                cyc += cost
-            continue
-        if m in ("jal", "c.j"):
-            # Direct jump: statically followed; only the link survives.
-            if m == "jal" and rd:
-                A(f"{E}r[{rd}] = {instr.addr + 4}")
-            cyc += cost
-            continue
-        if m in _INDIRECT_JUMPS:
-            if m == "jalr":
-                if imm:
-                    A(f"{E}t = (r[{rs1}] + {imm}) & {M ^ 1}")
-                else:
-                    A(f"{E}t = r[{rs1}] & {M ^ 1}")
-                if rd:
-                    A(f"{E}r[{rd}] = {instr.addr + 4}")
-            elif m == "c.jr":
-                A(f"{E}t = r[{rs1}] & {M ^ 1}")
-            else:  # c.jalr
-                A(f"{E}t = r[{rs1}] & {M ^ 1}")
-                A(f"{E}r[1] = {instr.addr + 2}")
-            cyc += cost
-            A(f"{E}if t != {expected}:")
-            A(f"{E}    cpu.pc = t")
-            A(f"{E}    return ({k + 1}, {cyc}, True)")
-            continue
-        if m in _ADDIW_MNEMONICS:
-            if rd:
-                A(f"{E}v = (r[{rs1}] + {imm}) & {_MASK32}")
-                A(f"{E}r[{rd}] = v | {M ^ _MASK32} if v & {1 << 31} else v")
-            cyc += cost
-            continue
-        if m == "c.addi16sp":
-            A(f"{E}r[2] = (r[2] + {imm}) & {M}")
-            cyc += cost
-            continue
-        if m in ("lui", "c.lui", "c.li", "auipc"):
-            if rd:
-                if m == "lui":
-                    value = sign_extend(imm << 12, 32) & M
-                elif m == "c.lui":
-                    value = sign_extend((imm & 0x3F) << 12, 18) & M
-                elif m == "c.li":
-                    value = imm & M
-                else:
-                    value = (instr.addr + sign_extend(imm << 12, 32)) & M
-                A(f"{E}r[{rd}] = {value}")
-            cyc += cost
-            continue
-        if m == "c.mv":
-            if rd:
-                A(f"{E}r[{rd}] = r[{rs2}]")
-            cyc += cost
-            continue
-        if m == "c.add":
-            if rd:
-                A(f"{E}r[{rd}] = (r[{rd}] + r[{rs2}]) & {M}")
-            cyc += cost
-            continue
-        if m == "slti":
-            if rd:
-                A(f"{E}r[{rd}] = 1 if (r[{rs1}] ^ {_SB}) < {(imm & M) ^ _SB} else 0")
-            cyc += cost
-            continue
-        if m == "sltiu":
-            if rd:
-                A(f"{E}r[{rd}] = 1 if r[{rs1}] < {imm & M} else 0")
-            cyc += cost
-            continue
-        if m == "slt":
-            if rd:
-                A(f"{E}r[{rd}] = 1 if (r[{rs1}] ^ {_SB}) < (r[{rs2}] ^ {_SB}) else 0")
-            cyc += cost
-            continue
-        if m == "sltu":
-            if rd:
-                A(f"{E}r[{rd}] = 1 if r[{rs1}] < r[{rs2}] else 0")
-            cyc += cost
-            continue
-        if m == "divu":
-            if rd:
-                A(f"{E}b = r[{rs2}]")
-                A(f"{E}r[{rd}] = {M} if b == 0 else r[{rs1}] // b")
-            cyc += cost
-            continue
-        if m == "remu":
-            if rd:
-                A(f"{E}b = r[{rs2}]")
-                A(f"{E}r[{rd}] = r[{rs1}] if b == 0 else r[{rs1}] % b")
-            cyc += cost
-            continue
-        if m == "vsetvli":
-            try:
-                sew = decode_vtype(imm)
-            except Exception:
-                sew = None
-            if sew in (32, 64):
-                A(f"{E}vu = cpu.vector")
-                A(f"{E}vu.sew = {sew}")
-                A(f"{E}vl_ = vu.vlen // {sew}")
-                if rs1:
-                    A(f"{E}a = r[{rs1}]")
-                    A(f"{E}vl_ = a if a < vl_ else vl_")
-                A(f"{E}vu.vl = vl_")
-                if rd:
-                    A(f"{E}r[{rd}] = vl_")
-                cyc += cost
-                continue
-        if m in _VLOAD_SRC:
-            bits = _VLOAD_SRC[m]
-            step = bits // 8
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}a = r[{rs1}]")
-            A(f"{E}nb = vu.vl * {step}")
-            A(f"{E}o = a - C{k}[0]; d = C{k}[1]")
-            A(f"{E}if vu.sew == {bits} and d is not None "
-              f"and 0 <= o <= length(d) - nb:")
-            A(f"{E}    vu.regs[{instr.vd}][0:nb] = d[o:o + nb]")
-            A(f"{E}else:")
-            A(f"{E}    ex = {k}")
-            A(f"{E}    H{k}(cpu, I{k})")
-            A(f"{E}    VM(cpu, C{k}, a, False)")
-            H(f"    C{k} = [0, None]")
-            H(f"    H{k} = OPS[{k}][4]; I{k} = OPS[{k}][3]")
-            cyc += cost
-            continue
-        if m in _VSTORE_SRC:
-            bits = _VSTORE_SRC[m]
-            step = bits // 8
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}a = r[{rs1}]")
-            A(f"{E}nb = vu.vl * {step}")
-            A(f"{E}o = a - C{k}[0]; d = C{k}[1]")
-            A(f"{E}if vu.sew == {bits} and d is not None "
-              f"and 0 <= o <= length(d) - nb:")
-            A(f"{E}    d[o:o + nb] = vu.regs[{instr.vd}][0:nb]")
-            A(f"{E}else:")
-            A(f"{E}    ex = {k}")
-            A(f"{E}    H{k}(cpu, I{k})")
-            A(f"{E}    VM(cpu, C{k}, a, True)")
-            H(f"    C{k} = [0, None]")
-            H(f"    H{k} = OPS[{k}][4]; I{k} = OPS[{k}][3]")
-            cyc += cost
-            continue
-        if m in _VV_SRC:
-            op = _VV_SRC[m]
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}w = vu.sew >> 3; mk = (1 << vu.sew) - 1")
-            A(f"{E}s2 = vu.regs[{instr.vs2}]; s1 = vu.regs[{instr.vs1}]; "
-              f"dd = vu.regs[{instr.vd}]")
-            A(f"{E}for i_ in range(0, vu.vl * w, w):")
-            A(f"{E}    j_ = i_ + w")
-            A(f"{E}    dd[i_:j_] = ((FB(s2[i_:j_], 'little') {op} "
-              f"FB(s1[i_:j_], 'little')) & mk).to_bytes(w, 'little')")
-            cyc += cost
-            continue
-        if m in _VX_SRC:
-            op = _VX_SRC[m]
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}w = vu.sew >> 3; mk = (1 << vu.sew) - 1")
-            A(f"{E}x_ = r[{rs1}]")
-            A(f"{E}s2 = vu.regs[{instr.vs2}]; dd = vu.regs[{instr.vd}]")
-            A(f"{E}for i_ in range(0, vu.vl * w, w):")
-            A(f"{E}    j_ = i_ + w")
-            A(f"{E}    dd[i_:j_] = ((FB(s2[i_:j_], 'little') {op} x_) "
-              f"& mk).to_bytes(w, 'little')")
-            cyc += cost
-            continue
-        if m == "vmacc.vv":
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}w = vu.sew >> 3; mk = (1 << vu.sew) - 1")
-            A(f"{E}s2 = vu.regs[{instr.vs2}]; s1 = vu.regs[{instr.vs1}]; "
-              f"dd = vu.regs[{instr.vd}]")
-            A(f"{E}for i_ in range(0, vu.vl * w, w):")
-            A(f"{E}    j_ = i_ + w")
-            A(f"{E}    dd[i_:j_] = ((FB(dd[i_:j_], 'little') + "
-              f"FB(s1[i_:j_], 'little') * FB(s2[i_:j_], 'little')) "
-              f"& mk).to_bytes(w, 'little')")
-            cyc += cost
-            continue
-        if m in ("vmv.v.x", "vmv.v.i"):
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}w = vu.sew >> 3; mk = (1 << vu.sew) - 1")
-            src = f"r[{rs1}]" if m == "vmv.v.x" else f"{imm}"
-            A(f"{E}bs = (({src}) & mk).to_bytes(w, 'little')")
-            A(f"{E}vu.regs[{instr.vd}][0:vu.vl * w] = bs * vu.vl")
-            cyc += cost
-            continue
-        if m == "vredsum.vs":
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}w = vu.sew >> 3; mk = (1 << vu.sew) - 1")
-            A(f"{E}s2 = vu.regs[{instr.vs2}]")
-            A(f"{E}t = FB(vu.regs[{instr.vs1}][0:w], 'little')")
-            A(f"{E}for i_ in range(0, vu.vl * w, w):")
-            A(f"{E}    t += FB(s2[i_:i_ + w], 'little')")
-            A(f"{E}vu.regs[{instr.vd}][0:w] = (t & mk).to_bytes(w, 'little')")
-            cyc += cost
-            continue
-        # Fallback: anything exotic calls its superblock handler (which
-        # never touches pc for non-control ops, so the lazy-pc scheme
-        # holds).  Control mnemonics are all inlined above; ecall/ebreak
-        # abort recording and never reach here.
-        H(f"    H{k} = OPS[{k}][4]; I{k} = OPS[{k}][3]")
-        A(f"{E}ex = {k}")
-        A(f"{E}H{k}(cpu, I{k})")
-        cyc += cost
-    if body[-1] == "        try:":
-        # Every op was a pure-cost no-op (e.g. an all-nop trace): the
-        # try block still needs a statement to be valid Python.
-        A(f"{E}pass")
-    A("        except BaseException:")
-    A("            cpu._trace_ex = ex")
-    A("            raise")
-    A(f"        cpu.pc = {ops[-1][2]}")
-    A(f"        return ({n}, {cyc}, False)")
-    A("    return _pass")
-    src = "\n".join(head + body)
+    src, prefix = trace_source(ops)
     code = _TRACE_CODE_MEMO.get(src)
     if code is None:
         if len(_TRACE_CODE_MEMO) >= 512:
             _TRACE_CODE_MEMO.clear()
         code = compile(src, "<trace>", "exec")
         _TRACE_CODE_MEMO[src] = code
-    ns: dict = {}
+    ns = dict(RUNTIME)
     exec(code, ns)  # noqa: S102 - trusted, self-generated
     return (ns["_make"](ops, _trace_load_slow, _trace_store_slow,
                         _trace_vmem_prime),
@@ -1218,800 +721,12 @@ def _compile_trace(ops: list) -> tuple[Callable, tuple]:
 _TRACE_CODE_MEMO: dict[str, object] = {}
 
 
-# ---------------------------------------------------------------------------
-# Instruction semantics.  Handlers take (cpu, instr), return truthy when a
-# conditional branch is taken (for the cost model).
-# ---------------------------------------------------------------------------
-
-def _unsupported(cpu: Cpu, i: Instruction):
-    raise IllegalInstructionFault(
-        i.addr if i.addr is not None else cpu.pc,
-        "unsupported-extension",
-        f"{i.mnemonic} needs {i.extension.value}",
-    )
-
-
-def _exec_lui(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend(i.imm << 12, 32))
-
-
-def _exec_auipc(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, (i.addr + sign_extend(i.imm << 12, 32)) & _MASK64)
-
-
-def _exec_jal(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, i.addr + 4)
-    cpu.pc = (i.addr + i.imm) & _MASK64
-
-
-def _exec_jalr(cpu: Cpu, i: Instruction):
-    target = (cpu.get_reg(i.rs1) + i.imm) & _MASK64 & ~1
-    cpu.set_reg(i.rd, i.addr + 4)
-    cpu.pc = target
-
-
-def _branch(op):
-    def handler(cpu: Cpu, i: Instruction):
-        if op(cpu.get_reg(i.rs1), cpu.get_reg(i.rs2)):
-            cpu.pc = (i.addr + i.imm) & _MASK64
-            return True
-        return False
-    return handler
-
-
-def _exec_load(width: int, signed: bool):
-    def handler(cpu: Cpu, i: Instruction):
-        addr = (cpu.get_reg(i.rs1) + i.imm) & _MASK64
-        raw = cpu.space.read(addr, width)
-        value = int.from_bytes(raw, "little")
-        if signed:
-            value = sign_extend(value, width * 8) & _MASK64
-        cpu.set_reg(i.rd, value)
-    return handler
-
-
-def _exec_store(width: int):
-    def handler(cpu: Cpu, i: Instruction):
-        addr = (cpu.get_reg(i.rs1) + i.imm) & _MASK64
-        cpu.space.write(addr, (cpu.get_reg(i.rs2) & ((1 << (width * 8)) - 1)).to_bytes(width, "little"))
-    return handler
-
-
-def _exec_addi(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) + i.imm)
-
-
-def _exec_addiw(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend((cpu.get_reg(i.rs1) + i.imm) & _MASK32, 32))
-
-
-def _exec_slti(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, 1 if _s(cpu.get_reg(i.rs1)) < i.imm else 0)
-
-
-def _exec_sltiu(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, 1 if cpu.get_reg(i.rs1) < (i.imm & _MASK64) else 0)
-
-
-def _exec_xori(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) ^ (i.imm & _MASK64))
-
-
-def _exec_ori(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) | (i.imm & _MASK64))
-
-
-def _exec_andi(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) & (i.imm & _MASK64))
-
-
-def _exec_slli(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) << i.imm)
-
-
-def _exec_srli(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) >> i.imm)
-
-
-def _exec_srai(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, _s(cpu.get_reg(i.rs1)) >> i.imm)
-
-
-def _exec_slliw(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend((cpu.get_reg(i.rs1) << i.imm) & _MASK32, 32))
-
-
-def _exec_srliw(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend((cpu.get_reg(i.rs1) & _MASK32) >> i.imm, 32))
-
-
-def _exec_sraiw(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend(cpu.get_reg(i.rs1) & _MASK32, 32) >> i.imm)
-
-
-def _rr(op):
-    def handler(cpu: Cpu, i: Instruction):
-        cpu.set_reg(i.rd, op(cpu.get_reg(i.rs1), cpu.get_reg(i.rs2)))
-    return handler
-
-
-def _rrw(op):
-    def handler(cpu: Cpu, i: Instruction):
-        cpu.set_reg(i.rd, sign_extend(op(cpu.get_reg(i.rs1), cpu.get_reg(i.rs2)) & _MASK32, 32))
-    return handler
-
-
-def _div(a: int, b: int) -> int:
-    if b == 0:
-        return _MASK64
-    sa, sb = _s(a), _s(b)
-    if sa == -(1 << 63) and sb == -1:
-        return a
-    q = abs(sa) // abs(sb)
-    return to_unsigned64(-q if (sa < 0) != (sb < 0) else q)
-
-
-def _rem(a: int, b: int) -> int:
-    if b == 0:
-        return a
-    sa, sb = _s(a), _s(b)
-    if sa == -(1 << 63) and sb == -1:
-        return 0
-    r = abs(sa) % abs(sb)
-    return to_unsigned64(-r if sa < 0 else r)
-
-
-def _divw(a: int, b: int) -> int:
-    aw, bw = sign_extend(a & _MASK32, 32), sign_extend(b & _MASK32, 32)
-    if bw == 0:
-        return _MASK32
-    if aw == -(1 << 31) and bw == -1:
-        return a & _MASK32
-    q = abs(aw) // abs(bw)
-    return (-q if (aw < 0) != (bw < 0) else q) & _MASK32
-
-
-def _remw(a: int, b: int) -> int:
-    aw, bw = sign_extend(a & _MASK32, 32), sign_extend(b & _MASK32, 32)
-    if bw == 0:
-        return a & _MASK32
-    if aw == -(1 << 31) and bw == -1:
-        return 0
-    r = abs(aw) % abs(bw)
-    return (-r if aw < 0 else r) & _MASK32
-
-
-def _exec_ecall(cpu: Cpu, i: Instruction):
-    raise EcallTrap(i.addr)
-
-
-def _exec_ebreak(cpu: Cpu, i: Instruction):
-    raise BreakpointTrap(i.addr, compressed=i.length == 2)
-
-
-def _exec_fence(cpu: Cpu, i: Instruction):
-    return None
-
-
-# -- compressed --------------------------------------------------------------
-
-def _exec_c_nop(cpu: Cpu, i: Instruction):
-    return None
-
-
-def _exec_c_j(cpu: Cpu, i: Instruction):
-    cpu.pc = (i.addr + i.imm) & _MASK64
-
-
-def _exec_c_jr(cpu: Cpu, i: Instruction):
-    cpu.pc = cpu.get_reg(i.rs1) & ~1
-
-
-def _exec_c_jalr(cpu: Cpu, i: Instruction):
-    target = cpu.get_reg(i.rs1) & ~1
-    cpu.set_reg(1, i.addr + 2)
-    cpu.pc = target
-
-
-def _exec_c_beqz(cpu: Cpu, i: Instruction):
-    if cpu.get_reg(i.rs1) == 0:
-        cpu.pc = (i.addr + i.imm) & _MASK64
-        return True
-    return False
-
-
-def _exec_c_bnez(cpu: Cpu, i: Instruction):
-    if cpu.get_reg(i.rs1) != 0:
-        cpu.pc = (i.addr + i.imm) & _MASK64
-        return True
-    return False
-
-
-def _exec_c_li(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, i.imm)
-
-
-def _exec_c_lui(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend((i.imm & 0x3F) << 12, 18))
-
-
-def _exec_c_mv(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs2))
-
-
-def _exec_c_add(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rd) + cpu.get_reg(i.rs2))
-
-
-def _exec_c_addi16sp(cpu: Cpu, i: Instruction):
-    cpu.set_reg(2, cpu.get_reg(2) + i.imm)
-
-
-# -- vector -------------------------------------------------------------------
-
-def _exec_vsetvli(cpu: Cpu, i: Instruction):
-    from repro.isa.encoding import decode_vtype
-
-    sew = decode_vtype(i.imm)
-    if i.rs1 == 0:
-        # rs1=x0: AVL = ~0 (vl = VLMAX) per the RVV spec.
-        avl = cpu.vector.vlen // sew
-    else:
-        avl = cpu.get_reg(i.rs1)
-    vl = cpu.vector.set_vl(avl, sew)
-    cpu.set_reg(i.rd, vl)
-
-
-def _exec_vload(width: int):
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        base = cpu.get_reg(i.rs1)
-        step = width // 8
-        for idx in range(vu.vl):
-            value = int.from_bytes(cpu.space.read(base + idx * step, step), "little")
-            vu.write_elem(i.vd, idx, value)
-    return handler
-
-
-def _exec_vstore(width: int):
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        base = cpu.get_reg(i.rs1)
-        step = width // 8
-        for idx in range(vu.vl):
-            cpu.space.write(base + idx * step, (vu.read_elem(i.vd, idx) & ((1 << width) - 1)).to_bytes(step, "little"))
-    return handler
-
-
-def _vv(op):
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        for idx in range(vu.vl):
-            vu.write_elem(i.vd, idx, op(vu.read_elem(i.vs2, idx), vu.read_elem(i.vs1, idx)))
-    return handler
-
-
-def _vx(op):
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        x = cpu.get_reg(i.rs1)
-        for idx in range(vu.vl):
-            vu.write_elem(i.vd, idx, op(vu.read_elem(i.vs2, idx), x))
-    return handler
-
-
-def _vv_sew(op):
-    """Elementwise op that needs the SEW (shifts, signed compares)."""
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        sew = vu.sew
-        for idx in range(vu.vl):
-            vu.write_elem(i.vd, idx, op(vu.read_elem(i.vs2, idx), vu.read_elem(i.vs1, idx), sew))
-    return handler
-
-
-def _vx_sew(op):
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        sew = vu.sew
-        x = cpu.get_reg(i.rs1)
-        for idx in range(vu.vl):
-            vu.write_elem(i.vd, idx, op(vu.read_elem(i.vs2, idx), x, sew))
-    return handler
-
-
-def _smin(a: int, b: int, sew: int) -> int:
-    sa, sb = sign_extend(a, sew), sign_extend(b, sew)
-    return a if sa <= sb else b
-
-
-def _smax(a: int, b: int, sew: int) -> int:
-    sa, sb = sign_extend(a, sew), sign_extend(b, sew)
-    return a if sa >= sb else b
-
-
-def _vsra(a: int, b: int, sew: int) -> int:
-    return sign_extend(a, sew) >> (b & (sew - 1))
-
-
-def _exec_vmv_x_s(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    cpu.set_reg(i.rd, sign_extend(vu.read_elem(i.vs2, 0), vu.sew) & _MASK64)
-
-
-_exec_vadd_vx = _vx(lambda a, x: a + x)
-
-
-def _exec_vadd_vi(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    for idx in range(vu.vl):
-        vu.write_elem(i.vd, idx, vu.read_elem(i.vs2, idx) + i.imm)
-
-
-def _exec_vmacc(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    for idx in range(vu.vl):
-        vu.write_elem(
-            i.vd, idx,
-            vu.read_elem(i.vd, idx) + vu.read_elem(i.vs1, idx) * vu.read_elem(i.vs2, idx),
+def _unsupported(instr: Instruction) -> Callable:
+    """The op for an instruction whose extension this core lacks."""
+    def op(cpu: Cpu):
+        raise IllegalInstructionFault(
+            instr.addr if instr.addr is not None else cpu.pc,
+            "unsupported-extension",
+            f"{instr.mnemonic} needs {instr.extension.value}",
         )
-
-
-def _exec_vmv_v_x(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    x = cpu.get_reg(i.rs1)
-    for idx in range(vu.vl):
-        vu.write_elem(i.vd, idx, x)
-
-
-def _exec_vmv_v_i(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    for idx in range(vu.vl):
-        vu.write_elem(i.vd, idx, i.imm)
-
-
-def _exec_vredsum(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    total = vu.read_elem(i.vs1, 0)
-    for idx in range(vu.vl):
-        total += vu.read_elem(i.vs2, idx)
-    vu.write_elem(i.vd, 0, total)
-
-
-_HANDLERS: dict[str, Callable] = {
-    "lui": _exec_lui,
-    "auipc": _exec_auipc,
-    "jal": _exec_jal,
-    "jalr": _exec_jalr,
-    "beq": _branch(lambda a, b: a == b),
-    "bne": _branch(lambda a, b: a != b),
-    "blt": _branch(lambda a, b: _s(a) < _s(b)),
-    "bge": _branch(lambda a, b: _s(a) >= _s(b)),
-    "bltu": _branch(lambda a, b: a < b),
-    "bgeu": _branch(lambda a, b: a >= b),
-    "lb": _exec_load(1, True),
-    "lh": _exec_load(2, True),
-    "lw": _exec_load(4, True),
-    "ld": _exec_load(8, True),
-    "lbu": _exec_load(1, False),
-    "lhu": _exec_load(2, False),
-    "lwu": _exec_load(4, False),
-    "sb": _exec_store(1),
-    "sh": _exec_store(2),
-    "sw": _exec_store(4),
-    "sd": _exec_store(8),
-    "addi": _exec_addi,
-    "addiw": _exec_addiw,
-    "slti": _exec_slti,
-    "sltiu": _exec_sltiu,
-    "xori": _exec_xori,
-    "ori": _exec_ori,
-    "andi": _exec_andi,
-    "slli": _exec_slli,
-    "srli": _exec_srli,
-    "srai": _exec_srai,
-    "slliw": _exec_slliw,
-    "srliw": _exec_srliw,
-    "sraiw": _exec_sraiw,
-    "add": _rr(lambda a, b: a + b),
-    "sub": _rr(lambda a, b: a - b),
-    "sll": _rr(lambda a, b: a << (b & 63)),
-    "slt": _rr(lambda a, b: 1 if _s(a) < _s(b) else 0),
-    "sltu": _rr(lambda a, b: 1 if a < b else 0),
-    "xor": _rr(lambda a, b: a ^ b),
-    "srl": _rr(lambda a, b: a >> (b & 63)),
-    "sra": _rr(lambda a, b: _s(a) >> (b & 63)),
-    "or": _rr(lambda a, b: a | b),
-    "and": _rr(lambda a, b: a & b),
-    "addw": _rrw(lambda a, b: a + b),
-    "subw": _rrw(lambda a, b: a - b),
-    "sllw": _rrw(lambda a, b: a << (b & 31)),
-    "srlw": _rrw(lambda a, b: (a & _MASK32) >> (b & 31)),
-    "sraw": _rrw(lambda a, b: sign_extend(a & _MASK32, 32) >> (b & 31)),
-    "mul": _rr(lambda a, b: a * b),
-    "mulh": _rr(lambda a, b: (_s(a) * _s(b)) >> 64),
-    "mulhsu": _rr(lambda a, b: (_s(a) * b) >> 64),
-    "mulhu": _rr(lambda a, b: (a * b) >> 64),
-    "div": _rr(_div),
-    "divu": _rr(lambda a, b: _MASK64 if b == 0 else a // b),
-    "rem": _rr(_rem),
-    "remu": _rr(lambda a, b: a if b == 0 else a % b),
-    "mulw": _rrw(lambda a, b: a * b),
-    "divw": _rrw(_divw),
-    "divuw": _rrw(lambda a, b: _MASK32 if (b & _MASK32) == 0 else (a & _MASK32) // (b & _MASK32)),
-    "remw": _rrw(_remw),
-    "remuw": _rrw(lambda a, b: (a & _MASK32) if (b & _MASK32) == 0 else (a & _MASK32) % (b & _MASK32)),
-    "sh1add": _rr(lambda a, b: (a << 1) + b),
-    "sh2add": _rr(lambda a, b: (a << 2) + b),
-    "sh3add": _rr(lambda a, b: (a << 3) + b),
-    "ecall": _exec_ecall,
-    "ebreak": _exec_ebreak,
-    "fence": _exec_fence,
-    # compressed
-    "c.nop": _exec_c_nop,
-    "c.addi": _exec_addi,
-    "c.addiw": _exec_addiw,
-    "c.li": _exec_c_li,
-    "c.lui": _exec_c_lui,
-    "c.addi16sp": _exec_c_addi16sp,
-    "c.addi4spn": _exec_addi,
-    "c.slli": _exec_slli,
-    "c.srli": _exec_srli,
-    "c.srai": _exec_srai,
-    "c.andi": _exec_andi,
-    "c.sub": _rr(lambda a, b: a - b),
-    "c.xor": _rr(lambda a, b: a ^ b),
-    "c.or": _rr(lambda a, b: a | b),
-    "c.and": _rr(lambda a, b: a & b),
-    "c.subw": _rrw(lambda a, b: a - b),
-    "c.addw": _rrw(lambda a, b: a + b),
-    "c.j": _exec_c_j,
-    "c.jr": _exec_c_jr,
-    "c.jalr": _exec_c_jalr,
-    "c.beqz": _exec_c_beqz,
-    "c.bnez": _exec_c_bnez,
-    "c.mv": _exec_c_mv,
-    "c.add": _exec_c_add,
-    "c.lw": _exec_load(4, True),
-    "c.ld": _exec_load(8, True),
-    "c.lwsp": _exec_load(4, True),
-    "c.ldsp": _exec_load(8, True),
-    "c.sw": _exec_store(4),
-    "c.sd": _exec_store(8),
-    "c.swsp": _exec_store(4),
-    "c.sdsp": _exec_store(8),
-    "c.ebreak": _exec_ebreak,
-    # vector
-    "vsetvli": _exec_vsetvli,
-    "vle32.v": _exec_vload(32),
-    "vle64.v": _exec_vload(64),
-    "vse32.v": _exec_vstore(32),
-    "vse64.v": _exec_vstore(64),
-    "vadd.vv": _vv(lambda a, b: a + b),
-    "vsub.vv": _vv(lambda a, b: a - b),
-    "vmul.vv": _vv(lambda a, b: a * b),
-    "vand.vv": _vv(lambda a, b: a & b),
-    "vor.vv": _vv(lambda a, b: a | b),
-    "vxor.vv": _vv(lambda a, b: a ^ b),
-    "vadd.vx": _exec_vadd_vx,
-    "vadd.vi": _exec_vadd_vi,
-    "vsub.vx": _vx(lambda a, x: a - x),
-    "vmul.vx": _vx(lambda a, x: a * x),
-    "vmin.vv": _vv_sew(_smin),
-    "vmax.vv": _vv_sew(_smax),
-    "vminu.vv": _vv(lambda a, b: min(a, b)),
-    "vmaxu.vv": _vv(lambda a, b: max(a, b)),
-    "vsll.vv": _vv_sew(lambda a, b, sew: a << (b & (sew - 1))),
-    "vsll.vx": _vx_sew(lambda a, x, sew: a << (x & (sew - 1))),
-    "vsrl.vv": _vv_sew(lambda a, b, sew: a >> (b & (sew - 1))),
-    "vsrl.vx": _vx_sew(lambda a, x, sew: a >> (x & (sew - 1))),
-    "vsra.vv": _vv_sew(_vsra),
-    "vsra.vx": _vx_sew(_vsra),
-    "vmacc.vv": _exec_vmacc,
-    "vmv.v.x": _exec_vmv_v_x,
-    "vmv.v.i": _exec_vmv_v_i,
-    "vmv.x.s": _exec_vmv_x_s,
-    "vredsum.vs": _exec_vredsum,
-}
-
-
-# ---------------------------------------------------------------------------
-# Superblock operand specialization.  At block-build time the decoded
-# operands are baked into small closures that index the register file
-# directly — the same architectural semantics as the generic handlers
-# (x0 stays zero because nothing ever writes regs[0] and writes to it
-# are compiled out; results are masked exactly as set_reg would), minus
-# the per-step attribute and method dispatch.  A specializer may return
-# None to decline an encoding, falling back to the generic handler.
-# ---------------------------------------------------------------------------
-
-def _spec_nop(cpu, _i):
-    return None
-
-
-def _spec_const(i, value):
-    rd = i.rd
-    if rd == 0:
-        return _spec_nop
-    value &= _MASK64
-
-    def fn(cpu, _i, rd=rd, value=value):
-        cpu.regs[rd] = value
-    return fn
-
-
-def _spec_lui(i):
-    return _spec_const(i, sign_extend(i.imm << 12, 32))
-
-
-def _spec_c_lui(i):
-    return _spec_const(i, sign_extend((i.imm & 0x3F) << 12, 18))
-
-
-def _spec_c_li(i):
-    return _spec_const(i, i.imm)
-
-
-def _spec_auipc(i):
-    return _spec_const(i, i.addr + sign_extend(i.imm << 12, 32))
-
-
-def _spec_addi(i):
-    rd, rs1, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _spec_nop
-
-    def fn(cpu, _i, rd=rd, rs1=rs1, imm=imm):
-        regs = cpu.regs
-        regs[rd] = (regs[rs1] + imm) & _MASK64
-    return fn
-
-
-def _spec_addiw(i):
-    rd, rs1, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _spec_nop
-
-    def fn(cpu, _i, rd=rd, rs1=rs1, imm=imm):
-        regs = cpu.regs
-        v = (regs[rs1] + imm) & _MASK32
-        regs[rd] = (v - 0x1_0000_0000 if v & 0x8000_0000 else v) & _MASK64
-    return fn
-
-
-def _spec_c_addi16sp(i):
-    imm = i.imm
-
-    def fn(cpu, _i, imm=imm):
-        regs = cpu.regs
-        regs[2] = (regs[2] + imm) & _MASK64
-    return fn
-
-
-def _spec_logic_imm(op):
-    def make(i):
-        rd, rs1 = i.rd, i.rs1
-        if rd == 0:
-            return _spec_nop
-        imm = i.imm & _MASK64
-
-        def fn(cpu, _i, rd=rd, rs1=rs1, imm=imm, op=op):
-            regs = cpu.regs
-            regs[rd] = op(regs[rs1], imm)
-        return fn
-    return make
-
-
-def _spec_shift_imm(op):
-    """Immediate shifts: result masked, shamt literal."""
-    def make(i):
-        rd, rs1, sh = i.rd, i.rs1, i.imm
-        if rd == 0:
-            return _spec_nop
-
-        def fn(cpu, _i, rd=rd, rs1=rs1, sh=sh, op=op):
-            regs = cpu.regs
-            regs[rd] = op(regs[rs1], sh) & _MASK64
-        return fn
-    return make
-
-
-def _spec_rr(op):
-    """Register-register ALU: result masked like set_reg."""
-    def make(i):
-        rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-        if rd == 0:
-            return _spec_nop
-
-        def fn(cpu, _i, rd=rd, rs1=rs1, rs2=rs2, op=op):
-            regs = cpu.regs
-            regs[rd] = op(regs[rs1], regs[rs2]) & _MASK64
-        return fn
-    return make
-
-
-def _spec_c_mv(i):
-    rd, rs2 = i.rd, i.rs2
-    if rd == 0:
-        return _spec_nop
-
-    def fn(cpu, _i, rd=rd, rs2=rs2):
-        regs = cpu.regs
-        regs[rd] = regs[rs2]
-    return fn
-
-
-def _spec_c_add(i):
-    rd, rs2 = i.rd, i.rs2
-    if rd == 0:
-        return _spec_nop
-
-    def fn(cpu, _i, rd=rd, rs2=rs2):
-        regs = cpu.regs
-        regs[rd] = (regs[rd] + regs[rs2]) & _MASK64
-    return fn
-
-
-def _spec_load(width, signed):
-    bits = width * 8
-
-    def make(i):
-        rd, rs1, imm = i.rd, i.rs1, i.imm
-
-        def fn(cpu, _i, rd=rd, rs1=rs1, imm=imm, width=width,
-               bits=bits, signed=signed):
-            regs = cpu.regs
-            addr = (regs[rs1] + imm) & _MASK64
-            value = int.from_bytes(cpu.space.read(addr, width), "little")
-            if signed and value >> (bits - 1):
-                value = (value - (1 << bits)) & _MASK64
-            if rd:
-                regs[rd] = value
-        return fn
-    return make
-
-
-def _spec_store(width):
-    mask = (1 << (width * 8)) - 1
-
-    def make(i):
-        rs1, rs2, imm = i.rs1, i.rs2, i.imm
-
-        def fn(cpu, _i, rs1=rs1, rs2=rs2, imm=imm, width=width, mask=mask):
-            regs = cpu.regs
-            cpu.space.write((regs[rs1] + imm) & _MASK64,
-                            (regs[rs2] & mask).to_bytes(width, "little"))
-        return fn
-    return make
-
-
-def _spec_branch(op):
-    def make(i):
-        rs1, rs2 = i.rs1, i.rs2
-        target = (i.addr + i.imm) & _MASK64
-
-        def fn(cpu, _i, rs1=rs1, rs2=rs2, target=target, op=op):
-            regs = cpu.regs
-            if op(regs[rs1], regs[rs2]):
-                cpu.pc = target
-                return True
-            return False
-        return fn
-    return make
-
-
-def _spec_c_branch(zero_taken):
-    def make(i):
-        rs1 = i.rs1
-        target = (i.addr + i.imm) & _MASK64
-
-        def fn(cpu, _i, rs1=rs1, target=target, zero_taken=zero_taken):
-            if (cpu.regs[rs1] == 0) is zero_taken:
-                cpu.pc = target
-                return True
-            return False
-        return fn
-    return make
-
-
-def _spec_jal(i):
-    rd, link = i.rd, i.addr + 4
-    target = (i.addr + i.imm) & _MASK64
-
-    def fn(cpu, _i, rd=rd, link=link, target=target):
-        if rd:
-            cpu.regs[rd] = link
-        cpu.pc = target
-    return fn
-
-
-def _spec_c_j(i):
-    target = (i.addr + i.imm) & _MASK64
-
-    def fn(cpu, _i, target=target):
-        cpu.pc = target
-    return fn
-
-
-def _spec_jalr(i):
-    rd, rs1, imm, link = i.rd, i.rs1, i.imm, i.addr + 4
-
-    def fn(cpu, _i, rd=rd, rs1=rs1, imm=imm, link=link):
-        target = (cpu.regs[rs1] + imm) & _MASK64 & ~1
-        if rd:
-            cpu.regs[rd] = link
-        cpu.pc = target
-    return fn
-
-
-_SPECIALIZERS: dict[str, Callable[[Instruction], Optional[Callable]]] = {
-    "lui": _spec_lui,
-    "auipc": _spec_auipc,
-    "c.lui": _spec_c_lui,
-    "c.li": _spec_c_li,
-    "addi": _spec_addi,
-    "c.addi": _spec_addi,
-    "c.addi4spn": _spec_addi,
-    "addiw": _spec_addiw,
-    "c.addiw": _spec_addiw,
-    "c.addi16sp": _spec_c_addi16sp,
-    "andi": _spec_logic_imm(lambda a, b: a & b),
-    "c.andi": _spec_logic_imm(lambda a, b: a & b),
-    "ori": _spec_logic_imm(lambda a, b: a | b),
-    "xori": _spec_logic_imm(lambda a, b: a ^ b),
-    "slli": _spec_shift_imm(lambda a, sh: a << sh),
-    "c.slli": _spec_shift_imm(lambda a, sh: a << sh),
-    "srli": _spec_shift_imm(lambda a, sh: a >> sh),
-    "c.srli": _spec_shift_imm(lambda a, sh: a >> sh),
-    "srai": _spec_shift_imm(lambda a, sh: _s(a) >> sh),
-    "c.srai": _spec_shift_imm(lambda a, sh: _s(a) >> sh),
-    "add": _spec_rr(lambda a, b: a + b),
-    "sub": _spec_rr(lambda a, b: a - b),
-    "c.sub": _spec_rr(lambda a, b: a - b),
-    "and": _spec_rr(lambda a, b: a & b),
-    "c.and": _spec_rr(lambda a, b: a & b),
-    "or": _spec_rr(lambda a, b: a | b),
-    "c.or": _spec_rr(lambda a, b: a | b),
-    "xor": _spec_rr(lambda a, b: a ^ b),
-    "c.xor": _spec_rr(lambda a, b: a ^ b),
-    "sll": _spec_rr(lambda a, b: a << (b & 63)),
-    "srl": _spec_rr(lambda a, b: a >> (b & 63)),
-    "sra": _spec_rr(lambda a, b: _s(a) >> (b & 63)),
-    "slt": _spec_rr(lambda a, b: 1 if _s(a) < _s(b) else 0),
-    "sltu": _spec_rr(lambda a, b: 1 if a < b else 0),
-    "mul": _spec_rr(lambda a, b: a * b),
-    "remu": _spec_rr(lambda a, b: a if b == 0 else a % b),
-    "divu": _spec_rr(lambda a, b: _MASK64 if b == 0 else a // b),
-    "c.mv": _spec_c_mv,
-    "c.add": _spec_c_add,
-    "lb": _spec_load(1, True),
-    "lh": _spec_load(2, True),
-    "lw": _spec_load(4, True),
-    "ld": _spec_load(8, True),
-    "c.lw": _spec_load(4, True),
-    "c.ld": _spec_load(8, True),
-    "c.lwsp": _spec_load(4, True),
-    "c.ldsp": _spec_load(8, True),
-    "lbu": _spec_load(1, False),
-    "lhu": _spec_load(2, False),
-    "lwu": _spec_load(4, False),
-    "sb": _spec_store(1),
-    "sh": _spec_store(2),
-    "sw": _spec_store(4),
-    "sd": _spec_store(8),
-    "c.sw": _spec_store(4),
-    "c.sd": _spec_store(8),
-    "c.swsp": _spec_store(4),
-    "c.sdsp": _spec_store(8),
-    "beq": _spec_branch(lambda a, b: a == b),
-    "bne": _spec_branch(lambda a, b: a != b),
-    "blt": _spec_branch(lambda a, b: _s(a) < _s(b)),
-    "bge": _spec_branch(lambda a, b: _s(a) >= _s(b)),
-    "bltu": _spec_branch(lambda a, b: a < b),
-    "bgeu": _spec_branch(lambda a, b: a >= b),
-    "c.beqz": _spec_c_branch(True),
-    "c.bnez": _spec_c_branch(False),
-    "jal": _spec_jal,
-    "c.j": _spec_c_j,
-    "jalr": _spec_jalr,
-}
+    return op

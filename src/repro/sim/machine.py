@@ -374,9 +374,6 @@ class Kernel:
             return True
         return False
 
-    #: Backwards-compatible alias (pre-chaos name).
-    _dispatch_fault = dispatch_fault
-
     # -- signals --------------------------------------------------------
 
     def deliver_signal(self, process: Process, cpu: Cpu, signum: int) -> None:

@@ -7,11 +7,10 @@ path executed zero trap instructions"), and by the telemetry layer's
 :class:`InstructionClassTally`, which feeds the
 ``cpu.instret{class=...}`` metric series.
 
-This module absorbed the former ``repro.sim.trace`` (which remains as a
-backward-compatible shim).  Tracers are deliberately simple callables;
-combine them with :class:`MultiTracer` when several views are needed at
-once.  None of them is attached unless something asks — an untraced CPU
-pays nothing per retired instruction.
+Tracers are deliberately simple callables; combine them with
+:class:`MultiTracer` when several views are needed at once.  None of
+them is attached unless something asks — an untraced CPU pays nothing
+per retired instruction.
 """
 
 from __future__ import annotations

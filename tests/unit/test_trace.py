@@ -7,7 +7,7 @@ from repro.core.runtime import ChimeraRuntime
 from repro.elf.loader import make_process
 from repro.isa.extensions import RV64GC, RV64GCV
 from repro.sim.machine import Core, Kernel
-from repro.sim.trace import (
+from repro.telemetry.exec_trace import (
     BranchProfile,
     HotspotProfile,
     InstructionTrace,

@@ -106,21 +106,6 @@ class TestEquivalence:
         assert trace.counters.get("trace_instret", 0) > 0
         assert trace.counters.get("traces_compiled", 0) > 0
 
-    def test_interpreted_traces_match_compiled(self):
-        binary = _shared_block_binary()
-        cpu_c, _ = _make_cpu(binary)
-        cpu_i, _ = _make_cpu(_shared_block_binary())
-        cpu_i.trace_compile = False
-        for cpu in (cpu_c, cpu_i):
-            with pytest.raises(SimFault):  # runs to the exit ecall
-                cpu.run(max_instructions=10_000)
-        assert cpu_i.instret == cpu_c.instret
-        assert cpu_i.cycles == cpu_c.cycles
-        assert cpu_i.regs == cpu_c.regs
-        assert cpu_i.counters["trace_instret"] > 0
-        assert all(t.fn is None for t in cpu_i._tcache.values())
-        assert all(t.fn is not None for t in cpu_c._tcache.values())
-
     def test_no_trace_cache_reports_no_trace_counters(self):
         result = _run(FibonacciWorkload(iterations=30).build("base"),
                       trace_cache=False)
