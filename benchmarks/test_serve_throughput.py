@@ -4,9 +4,9 @@ The service exists to amortize translation across a fleet, so the
 headline numbers are jobs/sec cold (every job a full rewrite+verify)
 versus warm (every job a shard hit), and warm throughput with one
 client versus several concurrent clients hammering the same socket.
-Correctness (every job ok, dedup exact) is asserted unconditionally;
-the warm-beats-cold gate only arms on boxes with >= 4 CPUs — small CI
-runners record the numbers without judging them.
+Correctness (every job ok, dedup exact) is asserted unconditionally,
+and so is the warm-beats-cold gate: both phases run on the same host,
+so their ratio holds on a 1-CPU runner too.
 ``BENCH_serve_throughput.json`` carries the measurements.
 """
 
@@ -96,9 +96,8 @@ def test_serve_throughput(benchmark, monkeypatch, tmp_path):
     registry.gauge("bench.cpu_count", cpus)
     emit_bench("serve_throughput", registry)
 
-    if cpus >= 4:
-        # A shard hit skips translation and verification entirely; if
-        # warm jobs are not clearly faster the cache is not working.
-        assert warm_speedup > 1.5, (
-            f"warm batch not faster than cold on {cpus} CPUs: "
-            f"{rates[('warm', 1)]:.1f}/s vs {rates[('cold', 1)]:.1f}/s")
+    # A shard hit skips translation and verification entirely; if warm
+    # jobs are not clearly faster the cache is not working.
+    assert warm_speedup > 1.5, (
+        f"warm batch not faster than cold on {cpus} CPUs: "
+        f"{rates[('warm', 1)]:.1f}/s vs {rates[('cold', 1)]:.1f}/s")

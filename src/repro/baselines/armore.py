@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from repro.analysis.scan import RecursiveScanner
 from repro.baselines.reassemble import reassemble
-from repro.core.translate import TranslationContext, Translator, VREGS_REGION_SIZE
+from repro.core.layout import add_vregs_section
+from repro.core.translate import TranslationContext, Translator
 from repro.elf.binary import Binary, Perm, Section
 from repro.isa.encoding import encode
 from repro.isa.extensions import IsaProfile
@@ -63,9 +64,7 @@ class ArmoreRewriter:
     def rewrite(self, binary: Binary, target_profile: IsaProfile) -> ArmoreResult:
         scan = RecursiveScanner().scan(binary)
         out = binary.clone(f"{binary.name}@armore-{target_profile.name}")
-        data_end = max(s.end for s in out.sections if Perm.W in s.perm)
-        vregs_base = (data_end + 0xF) & ~0xF
-        out.add_section(Section(".chimera.vregs", vregs_base, bytearray(VREGS_REGION_SIZE), Perm.RW))
+        vregs_base = add_vregs_section(out)
         translator = Translator(
             TranslationContext(vregs_base, binary.global_pointer), mode=self.mode
         )

@@ -17,15 +17,15 @@ jump, the quantity Table 2 reports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.analysis.scan import RecursiveScanner
 from repro.baselines.reassemble import reassemble
-from repro.core.translate import TranslationContext, Translator, VREGS_REGION_SIZE
-from repro.elf.binary import Binary, Perm, Section
+from repro.core.layout import add_vregs_section
+from repro.core.translate import TranslationContext, Translator
+from repro.elf.binary import Binary
 from repro.isa.encoding import encode
-from repro.isa.extensions import Extension, IsaProfile
+from repro.isa.extensions import IsaProfile
 from repro.isa.instructions import Instruction
 from repro.isa.registers import Reg
 from repro.sim.cost import ArchParams, DEFAULT_ARCH
@@ -68,9 +68,7 @@ class SaferRewriter:
     def rewrite(self, binary: Binary, target_profile: IsaProfile) -> SaferResult:
         scan = RecursiveScanner().scan(binary)
         out = binary.clone(f"{binary.name}@safer-{target_profile.name}")
-        data_end = max(s.end for s in out.sections if Perm.W in s.perm)
-        vregs_base = (data_end + 0xF) & ~0xF
-        out.add_section(Section(".chimera.vregs", vregs_base, bytearray(VREGS_REGION_SIZE), Perm.RW))
+        vregs_base = add_vregs_section(out)
         translator = Translator(
             TranslationContext(vregs_base, binary.global_pointer), mode=self.mode
         )

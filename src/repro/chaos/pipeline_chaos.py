@@ -293,7 +293,7 @@ def _scenario_torn_cache_write(original, *, target, jobs, executor, common,
             first = rewrite_and_verify(original.clone(), target, jobs=jobs,
                                        executor=executor, cache_dir=cache,
                                        **common)
-            entries = sorted(cache.glob("*.self"))
+            entries = sorted(cache.glob("shard-*/*.self"))
             if len(entries) != 1:
                 return ScenarioResult(
                     name, False, f"expected 1 cache entry, found {len(entries)}")
@@ -301,7 +301,7 @@ def _scenario_torn_cache_write(original, *, target, jobs, executor, common,
             entry = entries[0]
             data = entry.read_bytes()
             entry.write_bytes(data[: len(data) // 2])
-            orphan = cache / ".deadbeef.self.tmp"
+            orphan = entry.parent / ".deadbeef.self.tmp"
             orphan.write_bytes(b"half-written")
             os.utime(orphan, (time.time() - 7200, time.time() - 7200))
 
@@ -321,7 +321,7 @@ def _scenario_torn_cache_write(original, *, target, jobs, executor, common,
                                       expect_faults=False)
             if bad is not None:
                 return bad
-            leftovers = sorted(p.name for p in cache.glob(".*.tmp"))
+            leftovers = sorted(p.name for p in cache.glob("shard-*/.*.tmp"))
             if leftovers:
                 return ScenarioResult(
                     name, False, f"temp files left behind: {leftovers}")
@@ -355,7 +355,7 @@ def _scenario_truncated_journal(original, *, target, jobs, executor, common,
                 name, False, "injected driver kill never fired")
         except InjectedPipelineKill:
             pass
-        journals = sorted(cache.glob("journal/*.jsonl"))
+        journals = sorted(cache.glob("shard-*/journal/*.jsonl"))
         if len(journals) != 1:
             return ScenarioResult(
                 name, False, f"expected 1 journal, found {len(journals)}")

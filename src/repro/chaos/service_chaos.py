@@ -102,7 +102,7 @@ def _with_service(tmp: Path, coro_fn, *, shards: int = 4, jobs: int = 2,
     """Run one async scenario body against a live in-process service."""
 
     async def main():
-        layout = CacheLayout.resolve(tmp / "cache", shards, None)
+        layout = CacheLayout.open(tmp / "cache", shards)
         service = RewriteService(layout, jobs=jobs, **service_kw)
         address = await service.start(socket_path=str(tmp / "serve.sock"))
         server_task = asyncio.ensure_future(service.serve_until_shutdown())

@@ -45,6 +45,7 @@ from repro.elf.loader import make_process
 from repro.isa.extensions import PROFILES as ISA_PROFILES
 from repro.sim.cost import DEFAULT_ARCH
 from repro.sim.machine import Core, Kernel
+from repro.verify.admission import EXECUTORS
 
 
 def _isa(name: str):
@@ -59,8 +60,7 @@ def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="verification workers "
                              "(1 = serial; results are identical either way)")
-    parser.add_argument("--executor", choices=("serial", "thread", "process"),
-                        default=None,
+    parser.add_argument("--executor", choices=EXECUTORS, default=None,
                         help="verification executor (default: process when "
                              "--jobs > 1, else serial); process isolates "
                              "worker crashes and hangs from the release")
@@ -90,11 +90,14 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
                              "a trace is recorded (default: 16)")
 
 
-def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache-shards", type=int, default=0, metavar="N",
-                        help="shard the rewrite cache (and its journals) "
-                             "across N subdirectories keyed by release-key "
-                             "prefix (0 = flat legacy layout)")
+def _add_cache_flags(parser: argparse.ArgumentParser, *,
+                     new_cache: bool = True) -> None:
+    if new_cache:
+        parser.add_argument("--cache-shards", type=int, default=None,
+                            metavar="N",
+                            help="shard count of a new rewrite cache "
+                                 "(default: 16); an existing cache keeps "
+                                 "the count recorded in its root")
     parser.add_argument("--cache-max-mb", type=float, default=None,
                         metavar="MB",
                         help="LRU size budget for the rewrite cache; "
@@ -102,13 +105,16 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
                              "(split evenly across shards)")
 
 
-def _cache_layout(args: argparse.Namespace):
-    """CacheLayout (or None) from --rewrite-cache/--cache-shards/--cache-max-mb."""
-    from repro.core.pipeline import CacheLayout
+def _open_cache(root, shards=None, max_mb=None, *, create: bool = True):
+    """CacheLayout (or None) for *root*; a layout conflict exits cleanly."""
+    from repro.core.pipeline import CacheLayout, CacheLayoutError
 
-    return CacheLayout.resolve(args.rewrite_cache,
-                               getattr(args, "cache_shards", 0),
-                               getattr(args, "cache_max_mb", None))
+    if root is None:
+        return None
+    try:
+        return CacheLayout.open(root, shards, max_mb, create=create)
+    except CacheLayoutError as exc:
+        raise SystemExit(f"cache: {exc}")
 
 
 def _telemetry_scope(args: argparse.Namespace):
@@ -284,7 +290,8 @@ def _run_workload(args: argparse.Namespace, name: str) -> int:
             target=args.core if args.core in ("rv64gc", "rv64gcv") else "rv64gc",
             max_instructions=args.max_instructions,
             jobs=args.jobs,
-            cache_dir=_cache_layout(args),
+            cache_dir=_open_cache(args.rewrite_cache, args.cache_shards,
+                                  args.cache_max_mb),
             executor=args.executor,
             hot_blocks=getattr(args, "hot_blocks", 0),
         )
@@ -357,7 +364,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             oracle_trials=args.oracle_trials,
             max_oracle_regions=args.max_oracle_regions,
             jobs=args.jobs,
-            cache_dir=_cache_layout(args),
+            cache_dir=_open_cache(args.rewrite_cache, args.cache_shards,
+                                  args.cache_max_mb),
             executor=args.executor,
             resume=not args.no_resume,
             **extra,
@@ -506,18 +514,11 @@ def _service_address(args: argparse.Namespace) -> str:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.core.pipeline import CacheLayout
     from repro.service.server import serve
 
     if not args.socket and args.port is None:
         raise SystemExit("serve needs --socket PATH or --port N")
-    # The service always shards (--cache-shards 0 means "default", not
-    # the flat legacy layout a solo `verify --rewrite-cache` gets).
-    from repro.core.pipeline import DEFAULT_CACHE_SHARDS
-
-    layout = CacheLayout.resolve(args.cache,
-                                 args.cache_shards or DEFAULT_CACHE_SHARDS,
-                                 args.cache_max_mb)
+    layout = _open_cache(args.cache, args.cache_shards, args.cache_max_mb)
     scope, telemetry = _telemetry_scope(args)
 
     def ready(address: str) -> None:
@@ -606,10 +607,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.core.pipeline import CacheLayout, cache_gc, cache_stats
+    from repro.core.pipeline import cache_gc, cache_stats
 
-    layout = CacheLayout.resolve(args.cache, args.cache_shards,
-                                 args.cache_max_mb)
+    layout = _open_cache(args.cache, max_mb=args.cache_max_mb, create=False)
     if args.action == "stats":
         payload = cache_stats(layout)
     else:
@@ -774,8 +774,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="machine-wide verification-worker budget shared "
                         "fairly across concurrent jobs (default: CPU count)")
-    p.add_argument("--executor", choices=("serial", "thread", "process"),
-                   default=None,
+    p.add_argument("--executor", choices=EXECUTORS, default=None,
                    help="per-job verification executor (default: auto)")
     p.add_argument("--oracle-trials", type=int, default=None,
                    help="pin every job's oracle trials server-side "
@@ -846,11 +845,12 @@ def make_parser() -> argparse.ArgumentParser:
         help="rewrite-cache admin: per-shard stats, orphan GC, LRU eviction")
     p.add_argument("action", choices=("stats", "gc"))
     p.add_argument("--cache", required=True, metavar="DIR",
-                   help="rewrite-cache root (flat or sharded)")
+                   help="rewrite-cache root; its shard count is read from "
+                        "the layout record written when it was created")
     p.add_argument("--ttl", type=float, default=None, metavar="SECONDS",
                    help="gc: age before a temp/journal orphan is swept "
                         "(default: 1 hour)")
-    _add_cache_flags(p)
+    _add_cache_flags(p, new_cache=False)
     p.set_defaults(fn=cmd_cache)
     return parser
 

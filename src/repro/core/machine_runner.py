@@ -9,21 +9,20 @@ migration with architectural context transfer — under the same
 work-stealing policy.  Benchmarks compare the two engines' makespans to
 validate the DES abstraction (EXPERIMENTS.md deviation #6).
 
-Fault tolerance: the scheduler survives cores dying or flaking mid-task.
-A failed core is quarantined (immediately when dead, after a threshold
-of flakes), its orphaned task is re-queued with exponential backoff —
-resuming from a checksummed checkpoint when one survived on the same
-pool flavor, restarting from entry otherwise — and when every extension
-core is gone, extension tasks keep full forward progress on base cores
-through the downgraded binary.  A task that exhausts its retry budget
-ends in a structured :class:`~repro.sim.faults.UnrecoverableFault`
-accounting entry, never a hang or a silent drop.
+The policy, fault tolerance included, is
+:class:`~repro.core.stealing.StealingCore`'s.  This engine's part is the
+cost source: it runs each attempt with ``run_task_on_core`` and hands a
+core failure's checksummed checkpoint back as the retry's resume state,
+so the task resumes on the same pool flavor or restarts from entry.
+Chimera tasks run under ``ChimeraRuntime(self_heal=True)``: a fault
+inside one patched region quarantines just that patch
+(``resilience.patch_rollbacks``) and the task keeps running, so task
+retry, core quarantine and pool downgrade only engage when healing
+cannot contain the damage.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -31,20 +30,29 @@ from typing import Optional
 from repro.baselines.safer import SaferRewriter, SaferRuntime
 from repro.core.rewriter import ChimeraRewriter
 from repro.core.runtime import ChimeraRuntime
+from repro.core.stealing import Pending, StealingCore, StealingResult
 from repro.elf.binary import Binary
 from repro.isa.extensions import RV64GC, RV64GCV
-from repro.resilience.checkpoint import Checkpoint
-from repro.resilience.executor import TaskExecution, run_task_on_core
+from repro.resilience.executor import run_task_on_core
 from repro.resilience.failures import CoreFailureInjector
-from repro.resilience.policy import DEFAULT_RETRY_POLICY, ResilienceStats, RetryPolicy
+from repro.resilience.policy import RetryPolicy
 from repro.resilience.seeds import resolve_seed
 from repro.sim.cost import ArchParams, DEFAULT_ARCH
-from repro.sim.faults import IllegalInstructionFault, UnrecoverableFault
+from repro.sim.faults import IllegalInstructionFault
 from repro.sim.machine import Core
-from repro.telemetry import MetricsRegistry, current as telemetry_current
 
 #: Systems the measured runner implements.
 SYSTEMS = ("fam", "melf", "chimera", "safer")
+
+#: Rewriter and installed runtime of each rewriting system.  self_heal:
+#: an unexpected fault in a patched region quarantines that one patch
+#: (verified patching) instead of killing the task with
+#: UnrecoverableFault.
+_REWRITING = {
+    "chimera": (ChimeraRewriter,
+                lambda binary: ChimeraRuntime(binary, self_heal=True)),
+    "safer": (SaferRewriter, SaferRuntime),
+}
 
 
 @dataclass(frozen=True)
@@ -57,38 +65,16 @@ class HeteroTask:
 
 
 @dataclass
-class MeasuredRunResult:
+class MeasuredRunResult(StealingResult):
     """Outcome of one measured-execution scheduling run."""
 
-    system: str
-    makespan: int
-    cpu_time: int
-    migrations: int
-    steals: int
-    failures: int
+    #: Tasks that finished with a wrong result.
+    failures: int = 0
     per_task_cycles: dict[int, int] = field(default_factory=dict)
-    #: Extension tasks in the input, and how many of them completed on
-    #: an extension core (the accelerated path).
-    ext_tasks: int = 0
-    accelerated_ext_tasks: int = 0
-    #: Tasks that ended in a structured UnrecoverableFault.
-    unrecoverable: int = 0
-    #: task_id -> the UnrecoverableFault that ended it.
-    task_faults: dict[int, UnrecoverableFault] = field(default_factory=dict)
-    quarantined_cores: tuple[int, ...] = ()
-    resilience: ResilienceStats = field(default_factory=ResilienceStats)
 
     @property
     def completed(self) -> int:
         return len(self.per_task_cycles)
-
-    @property
-    def accelerated_share(self) -> float:
-        """Fraction of extension tasks that ran accelerated (0 when the
-        degradation ladder pushed them all to base cores)."""
-        if self.ext_tasks == 0:
-            return 0.0
-        return self.accelerated_ext_tasks / self.ext_tasks
 
 
 def _build_task_binary(kind: str, size: int, variant: str) -> Binary:
@@ -100,43 +86,18 @@ def _build_task_binary(kind: str, size: int, variant: str) -> Binary:
 
 
 @lru_cache(maxsize=512)
-def _prepared_binary(system: str, kind: str, size: int, on_ext: bool) -> tuple:
-    """(binary, runtime factory descriptor) ready to run for one cell."""
+def _prepared_binary(system: str, kind: str, size: int, on_ext: bool) -> Binary:
+    """The binary one (system, task, core flavor) cell runs."""
     if system == "melf":
         variant = "ext" if (kind == "ext" and on_ext) else "base"
-        return _build_task_binary(kind, size, variant), None
+        return _build_task_binary(kind, size, variant)
     if system == "fam":
         # FAM always runs the extension-compiled binary as-is.
         variant = "ext" if kind == "ext" else "base"
-        return _build_task_binary(kind, size, variant), None
+        return _build_task_binary(kind, size, variant)
     source = _build_task_binary(kind, size, "ext" if kind == "ext" else "base")
-    profile = RV64GCV if on_ext else RV64GC
-    if system == "chimera":
-        result = ChimeraRewriter().rewrite(source, profile)
-        return result.binary, "chimera"
-    if system == "safer":
-        result = SaferRewriter().rewrite(source, profile)
-        return result.binary, "safer"
-    raise ValueError(f"unknown system {system!r}")
-
-
-@dataclass
-class _Pending:
-    """A queued task plus its retry/checkpoint state."""
-
-    task: HeteroTask
-    migrated: bool = False      # FAM fault-and-migrate: extension pool only
-    attempt: int = 1
-    checkpoint: Optional[Checkpoint] = None
-    not_before: int = 0         # earliest dispatch time (backoff)
-    first_start: Optional[int] = None
-
-    @property
-    def pinned(self) -> bool:
-        """May not be stolen across pools: FAM-migrated tasks (no
-        downgraded image exists) and checkpointed resumes (the image
-        matches exactly one core flavor)."""
-        return self.migrated or self.checkpoint is not None
+    rewriter, _ = _REWRITING[system]
+    return rewriter().rewrite(source, RV64GCV if on_ext else RV64GC).binary
 
 
 class MeasuredScheduler:
@@ -152,205 +113,32 @@ class MeasuredScheduler:
         #: Kernel-entry watchdog budget per execution (None = default).
         self.max_steps = max_steps
 
-    def _execute(self, system: str, task: HeteroTask, core: Core, *,
-                 checkpoint: Optional[Checkpoint] = None,
-                 fail_event=None,
-                 injector: Optional[CoreFailureInjector] = None) -> TaskExecution:
-        on_ext = core.is_extension_core
-        binary, runtime_kind = _prepared_binary(system, task.kind, task.size, on_ext)
-        if runtime_kind == "chimera":
-            def factory(kernel, _b=binary):
-                # self_heal: an unexpected fault in a patched region
-                # quarantines that one patch (verified patching) instead
-                # of killing the task with UnrecoverableFault.
-                runtime = ChimeraRuntime(_b, self_heal=True)
-                runtime.install(kernel)
-                return runtime
-        elif runtime_kind == "safer":
-            def factory(kernel, _b=binary):
-                runtime = SaferRuntime(_b)
-                runtime.install(kernel)
-                return runtime
-        else:
-            factory = None
-        return run_task_on_core(
-            binary, factory, core,
-            task_id=task.task_id, arch=self.params,
-            max_instructions=self.max_instructions, max_steps=self.max_steps,
-            checkpoint=checkpoint, fail_event=fail_event, injector=injector,
-        )
-
     def run(self, tasks: list[HeteroTask], system: str, *,
             injector: Optional[CoreFailureInjector] = None,
             retry_policy: Optional[RetryPolicy] = None,
             quarantine_after: int = 2) -> MeasuredRunResult:
         if system not in SYSTEMS:
             raise ValueError(f"unknown system {system!r}")
-        policy = retry_policy or DEFAULT_RETRY_POLICY
-        n = self.n_base + self.n_ext
-        cores = [Core(i, RV64GCV if i >= self.n_base else RV64GC, self.params)
-                 for i in range(n)]
-        is_ext = [c.is_extension_core for c in cores]
-        queues: dict[bool, deque[_Pending]] = {False: deque(), True: deque()}
-        for task in tasks:
-            queues[task.kind == "ext"].append(_Pending(task))
-
-        clock = [0] * n
-        busy = [0] * n
-        heap = [(0, i) for i in range(n)]
-        heapq.heapify(heap)
-        idle: set[int] = set()
-        outstanding = len(tasks)
+        core = StealingCore(self.n_base, self.n_ext, self.params.steal_cost,
+                            retry_policy, quarantine_after)
+        m = core.metrics
+        cores = [Core(i, RV64GCV if ext else RV64GC, self.params)
+                 for i, ext in enumerate(core.is_ext)]
         per_task: dict[int, int] = {}
-        makespan = 0
-        ext_tasks = sum(1 for t in tasks if t.kind == "ext")
-        #: Single source of truth for every event counter of this run;
-        #: the result ledger and ResilienceStats are *derived* from it,
-        #: so the two can no longer drift apart.
-        m = MetricsRegistry()
-        quarantined: set[int] = set()
-        flake_counts = [0] * n
-        task_faults: dict[int, UnrecoverableFault] = {}
 
-        def pool_live(pool: bool) -> bool:
-            return any(is_ext[i] == pool and i not in quarantined for i in range(n))
-
-        def take(my_pool: bool, now: int):
-            """Next runnable _Pending for a *my_pool* worker at *now*."""
-            for idx, pending in enumerate(queues[my_pool]):
-                if pending.not_before <= now:
-                    del queues[my_pool][idx]
-                    return pending, False
-            for idx, pending in enumerate(queues[not my_pool]):
-                if not pending.pinned and pending.not_before <= now:
-                    del queues[not my_pool][idx]
-                    return pending, True
-            return None
-
-        def next_ready(my_pool: bool, now: int) -> Optional[int]:
-            """Earliest not_before of work this worker could run later."""
-            times = [p.not_before for p in queues[my_pool] if p.not_before > now]
-            times += [p.not_before for p in queues[not my_pool]
-                      if not p.pinned and p.not_before > now]
-            return min(times) if times else None
-
-        def wake(pool: bool, when: int) -> None:
-            """Wake an idle live worker — preferring *pool*, falling back to
-            the other flavor (which can steal the work)."""
-            for prefer in (True, False):
-                ready = sorted(
-                    (w for w in idle
-                     if w not in quarantined and (is_ext[w] == pool) == prefer),
-                    key=lambda w: clock[w],
-                )
-                if ready:
-                    w = ready[0]
-                    idle.discard(w)
-                    heapq.heappush(heap, (max(when, clock[w]), w))
-                    return
-
-        def quarantine(w: int, now: int) -> None:
-            if w in quarantined:
-                return
-            quarantined.add(w)
-            m.inc("resilience.quarantines")
-            pool = is_ext[w]
-            if pool_live(pool):
-                return
-            # The pool just lost its last live core.  Checkpointed
-            # resumes pinned here must restart from entry on the other
-            # flavor; unpinned work gets stolen naturally; FAM-migrated
-            # tasks have nowhere to go and hit the drain accounting.
-            survivors: deque[_Pending] = deque()
-            while queues[pool]:
-                pending = queues[pool].popleft()
-                if pending.checkpoint is not None and not pending.migrated \
-                        and pool_live(not pool):
-                    m.inc("resilience.restarts", reason="pool-lost")
-                    pending.checkpoint = None
-                    queues[not pool].append(pending)
-                    wake(not pool, max(now, pending.not_before))
-                else:
-                    survivors.append(pending)
-            queues[pool].extend(survivors)
-
-        def declare_unrecoverable(pending: _Pending, reason: str) -> None:
-            nonlocal outstanding
-            m.inc("resilience.unrecoverable_tasks")
-            task_faults[pending.task.task_id] = UnrecoverableFault(
-                reason, attempts=pending.attempt)
-            outstanding -= 1
-
-        def requeue(pending: _Pending, now: int, *,
-                    checkpoint: Optional[Checkpoint], reason: str) -> None:
-            """Schedule a retry after a failed attempt, or give up."""
-            task = pending.task
-            attempt = pending.attempt + 1
-            if policy.exhausted(attempt):
-                declare_unrecoverable(
-                    pending, f"task {task.task_id}: {reason}; retry budget "
-                             f"exhausted after {pending.attempt} attempts")
-                return
-            if pending.first_start is not None and policy.past_deadline(
-                    pending.first_start, now):
-                declare_unrecoverable(
-                    pending, f"task {task.task_id}: {reason}; past the "
-                             f"{policy.deadline}-cycle deadline")
-                return
-            # Resume on the checkpoint's flavor when it is still alive;
-            # otherwise steer to the surviving flavor and restart from
-            # entry (the rewritten image differs per flavor).
-            pool = checkpoint.pool_ext if checkpoint is not None \
-                else (task.kind == "ext")
-            if not pool_live(pool):
-                if pending.migrated or not pool_live(not pool):
-                    # FAM-migrated tasks have no downgraded image to
-                    # fall back to; otherwise there is no core at all.
-                    declare_unrecoverable(
-                        pending, f"task {task.task_id}: {reason}; no live "
-                                 "core can run it")
-                    return
-                pool = not pool
-                checkpoint = None
-            backoff = policy.backoff(attempt - 1)
-            m.inc("resilience.retries")
-            m.inc("resilience.backoff_cycles", backoff)
-            m.inc("resilience.migrations")
-            if checkpoint is None:
+        def count_restart(retried: Optional[Pending]) -> None:
+            # The rewritten image differs per flavor, so a retry that
+            # carries no checkpoint restarts from entry.
+            if retried is not None and retried.resume is None:
                 m.inc("resilience.restarts", reason="no-checkpoint")
-            queues[pool].append(_Pending(
-                task, migrated=pending.migrated, attempt=attempt,
-                checkpoint=checkpoint, not_before=now + backoff,
-                first_start=pending.first_start,
-            ))
-            wake(pool, now + backoff)
 
-        while heap:
-            now, w = heapq.heappop(heap)
-            if w in quarantined:
-                continue
-            my_pool = is_ext[w]
-            m.observe("sched.queue_depth", len(queues[my_pool]),
-                      pool="ext" if my_pool else "base")
-            got = take(my_pool, now)
-            if got is None:
-                later = next_ready(my_pool, now)
-                if later is not None:
-                    # Work exists but is backing off; come back for it.
-                    heapq.heappush(heap, (later, w))
-                elif outstanding > 0:
-                    idle.add(w)
-                    clock[w] = now
-                continue
-            pending, stolen = got
+        def dispatch(w: int, pending: Pending, stolen: bool, now: int,
+                     start: int) -> None:
             task = pending.task
-            start = now + (self.params.steal_cost if stolen else 0)
+            my_pool = core.is_ext[w]
             if stolen:
                 m.inc("sched.steals", core=w)
-            if pending.first_start is None:
-                pending.first_start = start
-
-            checkpoint = pending.checkpoint
+            checkpoint = pending.resume
             if checkpoint is not None:
                 if injector is not None and injector.migration_dropped(task.task_id):
                     # MigrationLostFault territory: the in-flight image is
@@ -363,13 +151,21 @@ class MeasuredScheduler:
                     m.inc("resilience.restarts", reason="foreign-flavor")
                     checkpoint = None
 
-            fail_event = None
-            if injector is not None:
-                fail_event = injector.plan_execution(w, task.task_id, task.kind)
+            fail_event = (injector.plan_execution(w, task.task_id, task.kind)
+                          if injector is not None else None)
 
-            execution = self._execute(system, task, cores[w],
-                                      checkpoint=checkpoint,
-                                      fail_event=fail_event, injector=injector)
+            binary = _prepared_binary(system, task.kind, task.size, my_pool)
+            factory = None
+            if system in _REWRITING:
+                def factory(kernel):
+                    runtime = _REWRITING[system][1](binary)
+                    runtime.install(kernel)
+                    return runtime
+            execution = run_task_on_core(
+                binary, factory, cores[w], task_id=task.task_id,
+                arch=self.params, max_instructions=self.max_instructions,
+                max_steps=self.max_steps, checkpoint=checkpoint,
+                fail_event=fail_event, injector=injector)
 
             if execution.patch_rollbacks:
                 m.inc("resilience.patch_rollbacks", execution.patch_rollbacks)
@@ -381,98 +177,51 @@ class MeasuredScheduler:
                 # Detected at restore: the core did no work; retry from
                 # entry after backoff.
                 m.inc("resilience.checkpoint_failures")
-                clock[w] = now
-                pending.checkpoint = None
-                requeue(pending, now, checkpoint=None,
-                        reason="checkpoint failed validation")
-                heapq.heappush(heap, (now, w))
-                continue
+                count_restart(core.retry(pending, now,
+                                         "checkpoint failed validation"))
+                core.resume_at(w, now)
+                return
 
             if execution.core_failure is not None:
-                m.inc("resilience.core_faults", core=w)
-                end = start + execution.cycles
-                busy[w] += end - now
-                clock[w] = end
-                makespan = max(makespan, end)
-                if execution.core_failure == "dead":
-                    quarantine(w, end)
-                else:
-                    flake_counts[w] += 1
-                    if flake_counts[w] >= quarantine_after:
-                        quarantine(w, end)
-                    else:
-                        heapq.heappush(heap, (end, w))
-                requeue(pending, end, checkpoint=execution.checkpoint,
-                        reason=f"core {w} went {execution.core_failure} mid-task")
-                continue
+                count_restart(core.core_failed(
+                    w, pending, now, start + execution.cycles,
+                    execution.core_failure,
+                    dead=execution.core_failure == "dead",
+                    resume=execution.checkpoint))
+                return
 
-            fam_migrate = (
-                system == "fam"
-                and not my_pool
-                and isinstance(execution.fault, IllegalInstructionFault)
-                and execution.fault.kind == "unsupported-extension"
-            )
-            if fam_migrate:
+            if system == "fam" and not my_pool \
+                    and isinstance(execution.fault, IllegalInstructionFault) \
+                    and execution.fault.kind == "unsupported-extension":
                 end = start + execution.cycles + self.params.migration_cost
-                busy[w] += (start - now) + execution.cycles
-                clock[w] = end
-                makespan = max(makespan, end)
-                heapq.heappush(heap, (end, w))
-                if not pool_live(True):
+                core.occupy(w, end, (start - now) + execution.cycles)
+                if not core.pool_live(True):
                     # FAM has no downgraded binary to fall back to.
-                    declare_unrecoverable(
-                        pending, f"task {task.task_id}: needs an extension "
-                                 "core but every extension core is quarantined")
-                    continue
+                    core.give_up(pending, f"task {task.task_id}: needs an "
+                                          "extension core but every extension "
+                                          "core is quarantined")
+                    return
                 m.inc("sched.migrations", reason="fam-unsupported")
-                queues[True].append(_Pending(
-                    task, migrated=True, attempt=pending.attempt,
-                    first_start=pending.first_start))
-                wake(True, end)
-                continue
+                core.enqueue(Pending(task, pending.home, pinned=True,
+                                     fallback=False, attempt=pending.attempt,
+                                     first_start=pending.first_start),
+                             True, end)
+                return
 
             if not execution.ok:
                 m.inc("sched.task_failures")
-            end = start + execution.cycles
-            busy[w] += end - now
-            clock[w] = end
-            makespan = max(makespan, end)
             per_task[task.task_id] = execution.cycles
-            outstanding -= 1
             if task.kind == "ext" and my_pool and execution.ok:
                 m.inc("sched.accelerated_ext_tasks")
             if execution.resumed and checkpoint is not None \
                     and checkpoint.core_id != w:
                 m.inc("resilience.checkpointed_migrations")
-            heapq.heappush(heap, (end, w))
+            core.complete(w, now, start + execution.cycles)
 
-        # Drain: anything still queued has no live worker to run it.
-        for pool in (False, True):
-            while queues[pool]:
-                pending = queues[pool].popleft()
-                declare_unrecoverable(
-                    pending, f"task {pending.task.task_id}: stranded — no "
-                             "live core can run it")
-
-        stats = ResilienceStats.from_metrics(m)
-        telemetry = telemetry_current()
-        if telemetry.enabled:
-            telemetry.metrics.merge(m, engine="measured", system=system)
-        return MeasuredRunResult(
-            system=system,
-            makespan=makespan,
-            cpu_time=sum(busy),
-            migrations=m.total("sched.migrations"),
-            steals=m.total("sched.steals"),
-            failures=m.total("sched.task_failures"),
-            per_task_cycles=per_task,
-            ext_tasks=ext_tasks,
-            accelerated_ext_tasks=m.total("sched.accelerated_ext_tasks"),
-            unrecoverable=stats.unrecoverable_tasks,
-            task_faults=task_faults,
-            quarantined_cores=tuple(sorted(quarantined)),
-            resilience=stats,
-        )
+        core.run([Pending(task, task.kind == "ext") for task in tasks], dispatch)
+        return core.finish(MeasuredRunResult, system, tasks, engine="measured",
+                           failures=m.total("sched.task_failures"),
+                           per_task_cycles=per_task)
 
 
 def varied_taskset(n_tasks: int, ext_share: float, *,

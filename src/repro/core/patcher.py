@@ -33,6 +33,7 @@ from repro.analysis.cfg import build_cfg
 from repro.analysis.liveness import LivenessAnalysis
 from repro.analysis.scan import RecursiveScanner
 from repro.core.fault_table import FaultTable
+from repro.core.layout import add_vregs_section
 from repro.core.smile import (
     SmilePlacementError,
     SmileTextAllocator,
@@ -50,7 +51,7 @@ from repro.core.upgrade import UpgradeSite, find_upgrade_sites
 from repro.elf.binary import Binary, Perm, Section
 from repro.isa.assembler import Assembler
 from repro.isa.encoding import encode
-from repro.isa.extensions import Extension, IsaProfile
+from repro.isa.extensions import IsaProfile
 from repro.isa.instructions import Instruction
 from repro.isa.registers import Reg
 from repro.sim.cost import ArchParams, DEFAULT_ARCH
@@ -311,9 +312,7 @@ class ChbpPatcher:
     # -- setup helpers ---------------------------------------------------
 
     def _add_vregs_section(self, out: Binary) -> int:
-        data_end = max(s.end for s in out.sections if Perm.W in s.perm)
-        base = (data_end + 0xF) & ~0xF
-        out.add_section(Section(".chimera.vregs", base, bytearray(VREGS_REGION_SIZE), Perm.RW))
+        base = add_vregs_section(out)
         out.add_symbol("__chimera_vregs", base, VREGS_REGION_SIZE, kind="object")
         return base
 

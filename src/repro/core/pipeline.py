@@ -13,14 +13,13 @@ A region that exhausts its retries is quarantined and **degraded** —
 re-admitted on the verified trap-fallback encoding
 (:mod:`repro.verify.degrade`) or excluded — so a release always
 completes with a machine-readable account of what was verified,
-degraded, or refused.  ``--executor thread`` keeps the old shared
-interpreter fan-out for debugging; results are deterministic for any
-executor and job count: each oracle trial's RNG is derived from
-``(seed, region, trial)`` alone and verdicts are merged in record
-order, so the rewritten bytes and the
+degraded, or refused.  ``--executor serial`` verifies in-line.
+Results are deterministic for any executor and job count: each oracle
+trial's RNG is derived from ``(seed, region, trial)`` alone and verdicts
+are merged in record order, so the rewritten bytes and the
 :class:`~repro.verify.report.VerifyReport` ledger are byte-identical
-whether the pipeline ran serial, threaded, process-parallel, resumed,
-or from cache — on fault-free inputs.
+whether the pipeline ran serial, process-parallel, resumed, or from
+cache — on fault-free inputs.
 
 The cache is content-addressed: the key hashes the *input* binary's
 sections, the rewriter configuration, and the gate configuration
@@ -45,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 import zlib
 from dataclasses import dataclass
@@ -80,23 +80,33 @@ _ORPHAN_TTL = 3600.0
 #: Default wall-clock watchdog per region for the process executor.
 DEFAULT_REGION_TIMEOUT = 60.0
 
-#: Default shard fan-out for the serving cache (``repro serve``).  The
-#: single-binary CLI keeps the flat layout (``shards=0``) unless asked.
+#: Shard fan-out of a new rewrite cache (``--cache-shards`` overrides it
+#: when the cache is created; an existing cache keeps its recorded count).
 DEFAULT_CACHE_SHARDS = 16
+
+#: File in the cache root recording the shard count the cache was
+#: created with.
+_LAYOUT_RECORD = "layout.json"
+_LAYOUT_SCHEMA = "repro.cache/layout/v1"
+
+
+class CacheLayoutError(ValueError):
+    """A cache root whose recorded layout cannot serve this opener: no
+    record where one is required, an unreadable record, or a shard count
+    that conflicts with the one the cache was created with."""
 
 
 @dataclass(frozen=True)
 class CacheLayout:
-    """Where one release key lives inside a (possibly sharded) cache.
+    """Where one release key lives inside the sharded rewrite cache.
 
-    ``shards == 0`` is the flat legacy layout: entries and the run
-    journal sit directly under ``root``.  With ``shards == N`` the
-    cache splits into ``root/shard-XX`` directories keyed by the
+    The cache splits into ``root/shard-XX`` directories keyed by the
     release-key prefix, so concurrent service workers publishing
     different releases never contend on one directory's rename stream
     — and a torn entry, a crashed writer, or an LRU sweep in one shard
     can never touch another.  Each shard carries its own ``journal/``
-    subdirectory and is orphan-GC'd independently.
+    subdirectory and is orphan-GC'd independently.  :meth:`open` records
+    the shard count in the root, so every opener routes keys alike.
 
     ``max_mb`` arms LRU eviction at publish time: the budget is split
     evenly across shards and the oldest-atime entries are evicted
@@ -104,49 +114,84 @@ class CacheLayout:
     """
 
     root: Path
-    shards: int = 0
+    shards: int = DEFAULT_CACHE_SHARDS
     max_mb: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "root", Path(self.root))
-        if self.shards < 0:
-            raise ValueError("shards must be >= 0")
+        if self.shards < 1:
+            raise ValueError("shards must be >= 1")
 
     @classmethod
-    def resolve(cls, cache_dir, shards: int = 0,
+    def open(cls, root, shards: Optional[int] = None,
+             max_mb: Optional[float] = None, *,
+             create: bool = True) -> "CacheLayout":
+        """The cache at *root*, routed by its recorded shard count.
+
+        A root without a record is created with *shards* (default
+        :data:`DEFAULT_CACHE_SHARDS`) when *create* is set.  An explicit
+        *shards* that differs from the record raises
+        :class:`CacheLayoutError` rather than re-routing keys.
+        """
+        if shards is not None and shards < 1:
+            raise CacheLayoutError(f"a cache needs >= 1 shard, not {shards}")
+        root = Path(root)
+        record = root / _LAYOUT_RECORD
+        if not record.exists():
+            if not create:
+                raise CacheLayoutError(
+                    f"{root} is not a rewrite cache (no {_LAYOUT_RECORD})")
+            root.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=root)
+            with os.fdopen(fd, "w") as fh:
+                json.dump({"schema": _LAYOUT_SCHEMA,
+                           "shards": shards or DEFAULT_CACHE_SHARDS}, fh)
+            try:
+                os.link(tmp, record)  # exclusive: the first creator wins
+            except FileExistsError:
+                pass
+            finally:
+                os.unlink(tmp)
+        try:
+            data = json.loads(record.read_text())
+            recorded = int(data["shards"])
+            if data["schema"] != _LAYOUT_SCHEMA or recorded < 1:
+                raise ValueError(data)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise CacheLayoutError(
+                f"unreadable cache layout record {record}: {exc}") from None
+        if shards is not None and shards != recorded:
+            raise CacheLayoutError(
+                f"{root} was created with {recorded} shards; opening it "
+                f"with {shards} would re-route its keys")
+        return cls(root, recorded, max_mb)
+
+    @classmethod
+    def resolve(cls, cache_dir, shards: Optional[int] = None,
                 max_mb: Optional[float] = None) -> Optional["CacheLayout"]:
-        if cache_dir is None:
-            return None
-        if isinstance(cache_dir, CacheLayout):
+        if cache_dir is None or isinstance(cache_dir, CacheLayout):
             return cache_dir
-        return cls(Path(cache_dir), shards, max_mb)
+        return cls.open(cache_dir, shards, max_mb)
 
     def shard_index(self, key: str) -> int:
         """Shard for *key* — a pure function of the release-key prefix,
         so every worker, client, and admin command agrees forever."""
-        if not self.shards:
-            return 0
         return int(key[:8], 16) % self.shards
 
     def shard_name(self, key: str) -> str:
         return f"shard-{self.shard_index(key):02d}"
 
     def dir_for(self, key: str) -> Path:
-        if not self.shards:
-            return self.root
         return self.root / self.shard_name(key)
 
     def dirs(self) -> list[Path]:
-        """Every shard directory (flat layout: just the root)."""
-        if not self.shards:
-            return [self.root]
         return [self.root / f"shard-{i:02d}" for i in range(self.shards)]
 
     @property
     def shard_budget_bytes(self) -> Optional[int]:
         if self.max_mb is None:
             return None
-        return int(self.max_mb * 1024 * 1024) // max(1, self.shards or 1)
+        return int(self.max_mb * 1024 * 1024) // self.shards
 
 
 @dataclass
@@ -635,7 +680,7 @@ def rewrite_and_verify(
     max_oracle_regions: int = 0,
     jobs: int = 1,
     cache_dir: Optional[Union[str, Path, CacheLayout]] = None,
-    cache_shards: int = 0,
+    cache_shards: Optional[int] = None,
     cache_max_mb: Optional[float] = None,
     executor: Optional[str] = None,
     region_timeout: Optional[float] = DEFAULT_REGION_TIMEOUT,
@@ -650,16 +695,17 @@ def rewrite_and_verify(
 ) -> PipelineResult:
     """Translate *binary* for *target_profile* and admission-verify it.
 
-    ``executor`` is "serial", "thread", or "process"; None auto-selects
+    ``executor`` is "serial" or "process"; None auto-selects
     "process" when ``jobs > 1`` (fault isolation plus real parallelism
     for the pure-Python oracle) and "serial" otherwise.  ``degrade``
     picks what happens to a region that exhausts its retry budget:
     "trap" re-admits it on the verified trap-fallback encoding,
     "exclude" drops it with the fault recorded in the ledger.
 
-    ``cache_dir`` may be a directory (flat cache, optionally fanned out
-    by ``cache_shards`` / size-capped by ``cache_max_mb``) or a
-    ready-made :class:`CacheLayout`.  ``slots`` is an optional
+    ``cache_dir`` may be a cache root (opened with
+    :meth:`CacheLayout.open`: ``cache_shards`` picks the shard count of a
+    new cache, ``cache_max_mb`` caps its size) or a ready-made
+    :class:`CacheLayout`.  ``slots`` is an optional
     :class:`~repro.core.procpool.WorkerSlotArbiter` the batch service
     shares across concurrent jobs; ``on_progress(stage, **info)`` (when
     given) fires at each pipeline stage boundary and per settled region

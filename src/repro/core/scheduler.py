@@ -10,52 +10,27 @@ system, which is exactly how the paper's numbers are shaped (per-task
 compute is fixed by the binary; the systems differ in where tasks may
 run and at what cost).
 
-System behavior is abstracted by :class:`SystemModel`:
-
-* ``cost(kind, on_ext)`` — cycles for one task of *kind* on a core type
-  (``None`` = cannot run there, e.g. FAM's extension tasks on base
-  cores);
-* ``accelerated(kind, on_ext)`` — whether that placement counts as
-  vector-accelerated (Fig. 12);
-* ``migrate_on_unsupported`` — FAM's fault-and-migrate behavior: the
-  task faults on the base core after ``detect_cycles`` and is re-queued
-  to the extension pool, paying the migration cost.
-
-Fault tolerance: a :class:`~repro.resilience.failures.DesFailurePlan`
-kills or flakes workers mid-task.  Failed workers are quarantined (dead
-at once, flaky past a threshold), orphaned tasks are re-queued with
-exponential backoff, extension tasks fall back to base cores when the
-extension pool is gone (for systems whose model can run them there), and
-a task with nowhere left to run ends in a structured
-:class:`~repro.sim.faults.UnrecoverableFault` entry on the result —
-never a silent drop, never a livelock.
-
-This degradation ladder composes with verified patching's *per-patch*
-rung below it (see DESIGN.md "Verified patching"): the measured runner
-(:mod:`repro.core.machine_runner`) executes Chimera tasks under
-``ChimeraRuntime(self_heal=True)``, so an unexpected fault inside one
-patched region quarantines just that patch (rolled back to the
-trap-fallback encoding, surfaced as ``resilience.patch_rollbacks``) and
-the task keeps running — task-level retry, core quarantine, and
-pool-level downgrade only engage when healing cannot contain the
-damage.  The abstract DES here models core/task failures only; per-patch
-healing is below its cost-model resolution.
+System behavior (per-placement cost, acceleration, FAM's
+fault-and-migrate) is abstracted by :class:`SystemModel`.  The queues,
+stealing, retries, quarantine and degradation ladder are
+:class:`~repro.core.stealing.StealingCore`'s, shared with the measured
+runner (:mod:`repro.core.machine_runner`).  A
+:class:`~repro.resilience.failures.DesFailurePlan` kills or flakes
+workers mid-task; the DES models core/task failures only, per-patch
+healing being below its cost-model resolution.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.core.stealing import Pending, StealingCore, StealingResult
 from repro.resilience.failures import DesFailurePlan
-from repro.resilience.policy import DEFAULT_RETRY_POLICY, ResilienceStats, RetryPolicy
+from repro.resilience.policy import RetryPolicy
 from repro.resilience.seeds import resolve_seed
 from repro.sim.cost import ArchParams, DEFAULT_ARCH
-from repro.sim.faults import UnrecoverableFault
-from repro.telemetry import MetricsRegistry, current as telemetry_current
 
 
 @dataclass(frozen=True)
@@ -71,11 +46,13 @@ class SystemModel:
     """Per-system scheduling behavior (costs in cycles)."""
 
     name: str
-    #: (task kind, on extension core) -> cycles, or None if it cannot run.
+    #: (task kind, on extension core) -> cycles, or None if it cannot run
+    #: there (e.g. FAM's extension tasks on base cores).
     costs: dict[tuple[str, bool], Optional[int]]
     #: placements that count as vector-accelerated.
     accelerated_placements: frozenset[tuple[str, bool]] = frozenset()
-    #: FAM: unsupported-instruction fault triggers migration to ext pool.
+    #: FAM: the task faults on a base core after ``detect_cycles`` and
+    #: migrates to the extension pool, paying the migration cost.
     migrate_on_unsupported: bool = False
     #: cycles a base core burns before hitting the unsupported instruction.
     detect_cycles: int = 1000
@@ -88,50 +65,24 @@ class SystemModel:
 
 
 @dataclass
-class ScheduleResult:
-    """Outcome of one scheduling run."""
+class ScheduleResult(StealingResult):
+    """Outcome of one discrete-event scheduling run."""
 
-    system: str
-    makespan: int          # end-to-end latency, cycles
-    cpu_time: int          # accumulated busy cycles across all cores
-    tasks_total: int
-    ext_tasks: int
-    accelerated_ext_tasks: int
-    migrations: int
-    steals: int
-    per_core_busy: list[int]
-    #: Tasks that ended in a structured UnrecoverableFault.
-    unrecoverable: int = 0
-    #: task_id -> the UnrecoverableFault that ended it.
-    task_faults: dict[int, UnrecoverableFault] = field(default_factory=dict)
-    quarantined_cores: tuple[int, ...] = ()
-    resilience: ResilienceStats = field(default_factory=ResilienceStats)
+    tasks_total: int = 0
+    per_core_busy: list[int] = field(default_factory=list)
 
     @property
     def completed(self) -> int:
         return self.tasks_total - self.unrecoverable
 
-    @property
-    def accelerated_share(self) -> float:
-        """Fraction of extension tasks that ran vector-accelerated (Fig. 12)."""
-        if self.ext_tasks == 0:
-            return 0.0
-        return self.accelerated_ext_tasks / self.ext_tasks
-
-
-@dataclass
-class _Pending:
-    """A queued task plus its retry state."""
-
-    task: Task
-    pinned: bool = False   # may not be stolen across pools
-    attempt: int = 1
-    not_before: int = 0    # earliest dispatch time (backoff)
-    first_start: Optional[int] = None
-
 
 class WorkStealingScheduler:
-    """Discrete-event work-stealing scheduler over two core pools."""
+    """Discrete-event work-stealing scheduler over two core pools.
+
+    The policy is :class:`~repro.core.stealing.StealingCore`'s; this
+    engine only prices each attempt from the :class:`SystemModel` and
+    strikes it from the failure plan.
+    """
 
     def __init__(self, n_base: int, n_ext: int, params: ArchParams = DEFAULT_ARCH):
         self.n_base = n_base
@@ -143,146 +94,22 @@ class WorkStealingScheduler:
             retry_policy: Optional[RetryPolicy] = None,
             quarantine_after: int = 2) -> ScheduleResult:
         """Schedule *tasks* to completion under *model*."""
-        policy = retry_policy or DEFAULT_RETRY_POLICY
-        n = self.n_base + self.n_ext
-        is_ext = [i >= self.n_base for i in range(n)]
-        queues: dict[bool, deque[_Pending]] = {False: deque(), True: deque()}
-        for task in tasks:
-            pool = task.kind == "ext" and model.cost("ext", True) is not None
+        core = StealingCore(self.n_base, self.n_ext, self.params.steal_cost,
+                            retry_policy, quarantine_after)
+        m = core.metrics
+
+        def pending(task: Task) -> Pending:
             # Extension tasks go to the extension pool when it can help;
             # everything else starts in the base pool.
-            queues[bool(pool)].append(_Pending(task))
+            home = task.kind == "ext" and model.cost("ext", True) is not None
+            fallback = (model.cost(task.kind, not home) is not None
+                        or model.migrate_on_unsupported)
+            return Pending(task, home, fallback=fallback)
 
-        free_at = [0] * n
-        busy = [0] * n
-        heap: list[tuple[int, int]] = [(0, i) for i in range(n)]
-        heapq.heapify(heap)
-        idle: set[int] = set()
-        outstanding = len(tasks)
-        makespan = 0
-        ext_tasks = sum(1 for t in tasks if t.kind == "ext")
-        #: Single source of truth for every event counter of this run;
-        #: the result ledger and ResilienceStats are *derived* from it,
-        #: so the two can no longer drift apart.
-        m = MetricsRegistry()
-        quarantined: set[int] = set()
-        flake_counts = [0] * n
-        task_faults: dict[int, UnrecoverableFault] = {}
-
-        def pool_live(pool: bool) -> bool:
-            return any(is_ext[i] == pool and i not in quarantined
-                       for i in range(n))
-
-        def wake(pool_ext: bool, now: int) -> None:
-            """Wake an idle live worker of *pool_ext*'s pool (stealing
-            happens naturally when busy workers free up)."""
-            live_idle = [w for w in idle if w not in quarantined]
-            matching = sorted((w for w in live_idle if is_ext[w] == pool_ext),
-                              key=lambda w: free_at[w])
-            if matching:
-                w = matching[0]
-                idle.discard(w)
-                heapq.heappush(heap, (max(now, free_at[w]), w))
-                return
-            # Otherwise wake any idle worker; it may steal the new task.
-            others = sorted(live_idle, key=lambda w: free_at[w])
-            if others:
-                w = others[0]
-                idle.discard(w)
-                heapq.heappush(heap, (max(now, free_at[w]), w))
-
-        def take(w: int, my_pool: bool, now: int) -> Optional[tuple[_Pending, bool]]:
-            for idx, pending in enumerate(queues[my_pool]):
-                if pending.not_before <= now:
-                    del queues[my_pool][idx]
-                    return pending, False
-            other = queues[not my_pool]
-            for idx, pending in enumerate(other):
-                if not pending.pinned and pending.not_before <= now:
-                    del other[idx]
-                    return pending, True
-            return None
-
-        def next_ready(my_pool: bool, now: int) -> Optional[int]:
-            """Earliest not_before of work this worker could run later."""
-            times = [p.not_before for p in queues[my_pool] if p.not_before > now]
-            times += [p.not_before for p in queues[not my_pool]
-                      if not p.pinned and p.not_before > now]
-            return min(times) if times else None
-
-        def quarantine(w: int) -> None:
-            if w not in quarantined:
-                quarantined.add(w)
-                m.inc("resilience.quarantines")
-
-        def declare_unrecoverable(pending: _Pending, reason: str) -> None:
-            nonlocal outstanding
-            m.inc("resilience.unrecoverable_tasks")
-            task_faults[pending.task.task_id] = UnrecoverableFault(
-                reason, attempts=pending.attempt)
-            outstanding -= 1
-
-        def requeue(pending: _Pending, now: int, *, reason: str) -> None:
-            """Schedule a retry after a core failure, or give up."""
+        def dispatch(w: int, pending: Pending, stolen: bool, now: int,
+                     start: int) -> None:
             task = pending.task
-            attempt = pending.attempt + 1
-            if policy.exhausted(attempt):
-                declare_unrecoverable(
-                    pending, f"task {task.task_id}: {reason}; retry budget "
-                             f"exhausted after {pending.attempt} attempts")
-                return
-            if pending.first_start is not None and policy.past_deadline(
-                    pending.first_start, now):
-                declare_unrecoverable(
-                    pending, f"task {task.task_id}: {reason}; past the "
-                             f"{policy.deadline}-cycle deadline")
-                return
-            pool = task.kind == "ext" and model.cost("ext", True) is not None
-            pinned = pending.pinned
-            if not pool_live(bool(pool)):
-                # Degradation ladder: steer to the surviving flavor if the
-                # model can run the task there (downgraded binary).
-                other = not pool
-                if (model.cost(task.kind, other) is None
-                        and not model.migrate_on_unsupported) \
-                        or not pool_live(other):
-                    declare_unrecoverable(
-                        pending, f"task {task.task_id}: {reason}; no live "
-                                 "core can run it")
-                    return
-                pool = other
-                pinned = False
-            backoff = policy.backoff(attempt - 1)
-            m.inc("resilience.retries")
-            m.inc("resilience.backoff_cycles", backoff)
-            m.inc("resilience.migrations")
-            queues[bool(pool)].append(_Pending(
-                task, pinned=pinned, attempt=attempt,
-                not_before=now + backoff, first_start=pending.first_start))
-            wake(bool(pool), now + backoff)
-
-        while heap:
-            now, w = heapq.heappop(heap)
-            if w in quarantined:
-                continue
-            my_pool = is_ext[w]
-            m.observe("sched.queue_depth", len(queues[my_pool]),
-                      pool="ext" if my_pool else "base")
-            taken = take(w, my_pool, now)
-            if taken is None:
-                later = next_ready(my_pool, now)
-                if later is not None:
-                    # Work exists but is backing off; come back for it.
-                    heapq.heappush(heap, (later, w))
-                elif outstanding > 0:
-                    idle.add(w)
-                    free_at[w] = now
-                continue
-            pending, stolen = taken
-            task = pending.task
-            start = now + (self.params.steal_cost if stolen else 0)
-            if pending.first_start is None:
-                pending.first_start = start
+            my_pool = core.is_ext[w]
             cost = model.cost(task.kind, my_pool)
             if cost is None:
                 if model.migrate_on_unsupported and not my_pool:
@@ -292,101 +119,48 @@ class WorkStealingScheduler:
                     # only the detection burns CPU time (the rest is
                     # kernel/cache latency).
                     end = start + model.detect_cycles + self.params.migration_cost
-                    busy[w] += (start - now) + model.detect_cycles
-                    free_at[w] = end
-                    makespan = max(makespan, end)
-                    heapq.heappush(heap, (end, w))
-                    if not pool_live(True):
+                    core.occupy(w, end, (start - now) + model.detect_cycles)
+                    if not core.pool_live(True):
                         # No live extension core and no downgraded binary:
                         # structured failure, not a silent drop.
-                        declare_unrecoverable(
-                            pending, f"task {task.task_id}: needs an "
-                                     "extension core but none is live")
-                        continue
+                        core.give_up(pending, f"task {task.task_id}: needs an "
+                                              "extension core but none is live")
+                        return
                     m.inc("sched.migrations", reason="fam-unsupported")
-                    queues[True].append(_Pending(
-                        task, pinned=True, attempt=pending.attempt,
-                        first_start=pending.first_start))
-                    wake(True, end)
-                    continue
+                    core.enqueue(replace(pending, pinned=True, not_before=0),
+                                 True, end)
+                    return
                 # Cannot run here at all: pin it to its own pool — unless
                 # that pool has no live worker, in which case the task is
                 # unrunnable and must be accounted, not parked forever.
                 home = task.kind == "ext"
-                if not pool_live(home):
-                    declare_unrecoverable(
-                        pending, f"task {task.task_id}: cannot run on this "
-                                 "core flavor and its own pool has no live "
-                                 "worker")
-                    idle.add(w)
-                    free_at[w] = now
-                    continue
+                if not core.pool_live(home):
+                    core.give_up(pending, f"task {task.task_id}: cannot run on "
+                                          "this core flavor and its own pool "
+                                          "has no live worker")
+                    core.park(w, now)
+                    return
                 pending.pinned = True
-                queues[home].append(pending)
-                idle.add(w)
-                free_at[w] = now
-                wake(home, now)
-                continue
+                core.park(w, now)
+                core.enqueue(pending, home, now)
+                return
 
             # The worker may fail mid-task (resilience failure plan).
             struck = failures.check(w, start) if failures is not None else None
             if struck is not None:
-                m.inc("resilience.core_faults", core=w)
                 burn = int(cost * failures.fail_fraction)
-                end = start + burn
-                busy[w] += end - now
-                free_at[w] = end
-                makespan = max(makespan, end)
-                if struck == "kill":
-                    quarantine(w)
-                else:
-                    flake_counts[w] += 1
-                    if flake_counts[w] >= quarantine_after:
-                        quarantine(w)
-                    else:
-                        heapq.heappush(heap, (end, w))
-                requeue(pending, end,
-                        reason=f"core {w} went {struck} mid-task")
-                continue
-
-            end = start + cost
-            busy[w] += end - now
-            free_at[w] = end
-            outstanding -= 1
+                core.core_failed(w, pending, now, start + burn, struck,
+                                 dead=struck == "kill")
+                return
             if stolen:
                 m.inc("sched.steals", core=w)
             if task.kind == "ext" and model.accelerated(task.kind, my_pool):
                 m.inc("sched.accelerated_ext_tasks")
-            makespan = max(makespan, end)
-            heapq.heappush(heap, (end, w))
+            core.complete(w, now, start + cost)
 
-        # Drain: anything still queued has no live worker to run it.
-        for pool in (False, True):
-            while queues[pool]:
-                pending = queues[pool].popleft()
-                declare_unrecoverable(
-                    pending, f"task {pending.task.task_id}: stranded — no "
-                             "live core can run it")
-
-        stats = ResilienceStats.from_metrics(m)
-        telemetry = telemetry_current()
-        if telemetry.enabled:
-            telemetry.metrics.merge(m, engine="des", system=model.name)
-        return ScheduleResult(
-            system=model.name,
-            makespan=makespan,
-            cpu_time=sum(busy),
-            tasks_total=len(tasks),
-            ext_tasks=ext_tasks,
-            accelerated_ext_tasks=m.total("sched.accelerated_ext_tasks"),
-            migrations=m.total("sched.migrations"),
-            steals=m.total("sched.steals"),
-            per_core_busy=busy,
-            unrecoverable=stats.unrecoverable_tasks,
-            task_faults=task_faults,
-            quarantined_cores=tuple(sorted(quarantined)),
-            resilience=stats,
-        )
+        core.run([pending(task) for task in tasks], dispatch)
+        return core.finish(ScheduleResult, model.name, tasks, engine="des",
+                           tasks_total=len(tasks), per_core_busy=core.busy)
 
 
 def mixed_taskset(n_tasks: int, ext_share: float, *,

@@ -10,7 +10,8 @@ only the downgrade cost.  This package supplies the machinery:
 * :mod:`~repro.resilience.checkpoint` — checksummed CPU/address-space
   snapshots, restore-on-another-core, corruption *detected* not trusted;
 * :mod:`~repro.resilience.policy` — retry with exponential backoff,
-  attempt/deadline budgets, quarantine ladder, ``ResilienceStats``;
+  attempt/deadline budgets, ``ResilienceStats`` (the quarantine ladder
+  that spends them is :mod:`repro.core.stealing`);
 * :mod:`~repro.resilience.executor` — one fault-tolerant task execution;
 * :mod:`~repro.resilience.scenarios` — the named end-to-end scenarios
   behind ``python -m repro resilience <scenario>`` (imported lazily to

@@ -33,7 +33,7 @@ WORKER_CRASH = "worker-crash"
 #: deadline (hung CFG walk, stuck oracle).
 WORKER_HANG = "worker-hang"
 #: A structured exception escaped the per-region checks in-process
-#: (serial/thread executors, or caught inside a worker).
+#: (serial executor, or caught inside a worker).
 VERIFY_ERROR = "verify-error"
 #: The process pool itself failed to come up; the pipeline fell back to
 #: in-process verification.

@@ -1,20 +1,9 @@
 """Retry/backoff policy and the resilience counters.
 
-The degradation ladder both schedulers implement:
-
-1. a failed execution is retried with exponential backoff, up to a
-   per-task attempt budget and optional cycle deadline;
-2. a core that dies — or flakes repeatedly — is *quarantined*: it takes
-   no further work and its orphaned task is re-queued to the survivors;
-3. when every extension core is quarantined, extension tasks keep full
-   forward progress on base cores via the downgraded binary (that is the
-   point of rewriting one binary per core flavor);
-4. a task that exhausts its budget ends in a structured
-   :class:`~repro.sim.faults.UnrecoverableFault` accounting entry —
-   never a hang, never a silent drop.
-
-:class:`ResilienceStats` is the ledger for all of it, reported through
-``MeasuredRunResult`` / ``ScheduleResult``.
+:class:`RetryPolicy` is the budget the scheduling degradation ladder
+(:class:`~repro.core.stealing.StealingCore`) and the verification
+pipeline retry under; :class:`ResilienceStats` is the ladder's ledger,
+reported through ``MeasuredRunResult`` / ``ScheduleResult``.
 """
 
 from __future__ import annotations

@@ -428,7 +428,7 @@ class RewriteService:
             telemetry.metrics.inc("service.jobs_accepted")
             telemetry.metrics.gauge("service.queue_depth",
                                     self.stats.queue_depth)
-        shard = self.layout.shard_name(key) if self.layout.shards else "flat"
+        shard = self.layout.shard_name(key)
         await conn.send({"event": "accepted", "id": spec["id"], "key": key,
                          "shard": shard})
 
@@ -588,7 +588,7 @@ class RewriteService:
         self._ewma_seconds = (seconds if self._ewma_seconds == 0.0
                               else alpha * seconds
                               + (1 - alpha) * self._ewma_seconds)
-        shard = self.layout.shard_name(key) if self.layout.shards else "flat"
+        shard = self.layout.shard_name(key)
         if pipe.cache_hit:
             self.stats.shard_hits += 1
             self.stats.jobs_deduped_cache += 1
@@ -710,24 +710,16 @@ async def serve(
     socket_path: Optional[str] = None,
     host: str = "127.0.0.1",
     port: Optional[int] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[str] = None,
-    oracle_trials: Optional[int] = None,
-    region_timeout: Optional[float] = None,
-    max_inflight: Optional[int] = None,
-    max_queue: int = 0,
-    idle_timeout: Optional[float] = None,
     ready=None,
+    **service_options,
 ) -> ServiceStats:
     """Run a :class:`RewriteService` until shutdown; returns its stats.
 
+    *service_options* are :class:`RewriteService`'s keyword arguments.
     ``ready`` (optional callable) fires with the bound address once the
     server is listening — the CLI prints it, tests latch onto it.
     """
-    service = RewriteService(
-        layout, jobs=jobs, executor=executor, oracle_trials=oracle_trials,
-        region_timeout=region_timeout, max_inflight=max_inflight,
-        max_queue=max_queue, idle_timeout=idle_timeout)
+    service = RewriteService(layout, **service_options)
     address = await service.start(socket_path=socket_path, host=host,
                                   port=port)
     if ready is not None:

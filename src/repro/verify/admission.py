@@ -30,7 +30,6 @@ admitted region is an ``admission-escape``).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Callable, Optional
 
 from repro.core.procpool import (
@@ -63,7 +62,7 @@ from repro.verify.report import CheckResult, RegionVerdict, VerifyReport
 #: Bounded relocated-block walk length (instructions).
 _WALK_BUDGET = 96
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 class AdmissionGate:
@@ -80,7 +79,7 @@ class AdmissionGate:
         max_oracle_regions: int = 0,
         jobs: int = 1,
         liveness=None,
-        executor: str = "thread",
+        executor: str = "serial",
         region_timeout: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         injector=None,
@@ -106,14 +105,11 @@ class AdmissionGate:
         #: expensive co-execution on large synthetic binaries (static
         #: checks always run on all regions; the skip is reported).
         self.max_oracle_regions = max_oracle_regions
-        #: Worker threads for the per-region fan-out (1 = serial).  Every
-        #: check is read-only over shared state — the oracle builds fresh
-        #: processes per trial and each trial's RNG is derived from
-        #: (seed, region, trial) alone — so results are identical for any
-        #: job count; only the wall-clock changes.
+        #: Worker processes for the per-region fan-out.  Each trial's RNG
+        #: is derived from (seed, region, trial) alone, so results are
+        #: identical for any job count; only the wall-clock changes.
         self.jobs = max(1, jobs)
         #: Execution substrate for the fan-out: "serial" runs in-line,
-        #: "thread" shares the interpreter (debuggable, no isolation),
         #: "process" dispatches picklable work items to a
         #: :class:`~repro.core.procpool.FaultIsolatedPool` so a crashed
         #: or hung region can never take down the release verification.
@@ -121,8 +117,8 @@ class AdmissionGate:
             raise ValueError(
                 f"unknown executor {executor!r}; choose from {EXECUTORS}")
         self.executor = executor
-        #: Wall-clock watchdog per region (process executor only; a hung
-        #: thread cannot be killed).  None disables the watchdog.
+        #: Wall-clock watchdog per region (process executor only; an
+        #: in-line region cannot be killed).  None disables the watchdog.
         self.region_timeout = region_timeout
         self.retry_policy = retry_policy or PIPELINE_RETRY_POLICY
         #: Optional chaos hook (``before_region(idx, attempt, record)``)
@@ -176,9 +172,6 @@ class AdmissionGate:
                 if self.executor == "process":
                     self._verify_process(indices, done, faults, on_region,
                                          telemetry)
-                elif self.executor == "thread" and self.jobs > 1 \
-                        and len(indices) > 1:
-                    self._verify_threaded(indices, done, faults, on_region)
                 else:
                     for idx in indices:
                         self._check_deadline()
@@ -219,18 +212,6 @@ class AdmissionGate:
         done[idx] = (verdict, oracle_ran)
         if on_region is not None:
             on_region(idx, verdict, oracle_ran)
-
-    def _verify_threaded(self, indices, done, faults, on_region) -> None:
-        # Settle the oracle's lazy one-shot analysis on this thread;
-        # afterwards every worker only reads shared state.
-        self.oracle.prepare()
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            futures = {pool.submit(self._verify_with_retry, idx): idx
-                       for idx in indices}
-            for future in as_completed(futures):
-                idx = futures[future]
-                self._settle(idx, *future.result(), done=done, faults=faults,
-                             on_region=on_region)
 
     def _verify_process(self, indices, done, faults, on_region,
                         telemetry) -> None:
@@ -314,7 +295,7 @@ class AdmissionGate:
     def _verify_with_retry(
         self, idx: int
     ) -> tuple[Optional[RegionVerdict], bool, list[RegionFault]]:
-        """In-process retry ladder for the serial/thread executors and
+        """In-process retry ladder for the serial executor and
         the pool-broken fallback.  Catches exceptions (``verify-error``
         faults) — a hung region cannot be recovered without a process
         boundary, which is what the process executor is for."""
@@ -605,32 +586,9 @@ class AdmissionGate:
         return True
 
 
-def verify_binary(
-    original: Binary,
-    rewritten: Binary,
-    *,
-    seed: Optional[int] = None,
-    oracle_trials: int = 2,
-    oracle_max_steps: int = 512,
-    max_oracle_regions: int = 0,
-    jobs: int = 1,
-    liveness=None,
-    executor: str = "thread",
-    region_timeout: Optional[float] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    injector=None,
-    on_region=None,
-    precomputed=None,
-    slots=None,
-    job_id=None,
-    deadline=None,
-) -> VerifyReport:
-    """Convenience wrapper: gate *rewritten* against *original*."""
-    return AdmissionGate(
-        original, rewritten, seed=seed, oracle_trials=oracle_trials,
-        oracle_max_steps=oracle_max_steps,
-        max_oracle_regions=max_oracle_regions, jobs=jobs, liveness=liveness,
-        executor=executor, region_timeout=region_timeout,
-        retry_policy=retry_policy, injector=injector,
-        slots=slots, job_id=job_id, deadline=deadline,
-    ).verify(on_region=on_region, precomputed=precomputed)
+def verify_binary(original: Binary, rewritten: Binary, *, on_region=None,
+                  precomputed=None, **gate_options) -> VerifyReport:
+    """Convenience wrapper: gate *rewritten* against *original*
+    (*gate_options* are :class:`AdmissionGate`'s keyword arguments)."""
+    return AdmissionGate(original, rewritten, **gate_options).verify(
+        on_region=on_region, precomputed=precomputed)

@@ -116,14 +116,6 @@ class DifferentialOracle:
 
     # -- analysis (matches the patcher's own parameters) --------------------
 
-    def prepare(self) -> None:
-        """Force the lazy liveness analysis now.
-
-        Call before fanning ``check_region`` out across threads so the
-        one-shot mutation happens on a single thread.
-        """
-        self._dead_at(self.original.entry)
-
     def _dead_at(self, addr: int) -> frozenset:
         if self._liveness is None:
             scan = RecursiveScanner(seed_address_taken=False).scan(self.original)

@@ -83,7 +83,7 @@ class VerifyReport:
     #: Every fault the isolated pipeline attributed to a region: worker
     #: crashes, watchdog kills, in-process verify errors — with the
     #: attempt that faulted and how it was resolved.  Empty on
-    #: fault-free runs, so serial/thread/process ledgers stay identical.
+    #: fault-free runs, so serial and process ledgers stay identical.
     faults: list[RegionFault] = field(default_factory=list)
 
     @property

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.pipeline import (
     CacheLayout,
+    CacheLayoutError,
     DEFAULT_CACHE_SHARDS,
     cache_gc,
     cache_stats,
@@ -46,10 +47,9 @@ class TestCacheLayout:
         seen = {layout.shard_index(f"{i:08x}" + "f" * 56) for i in range(256)}
         assert seen == {0, 1, 2, 3}
 
-    def test_flat_layout_routes_to_root(self, tmp_path):
-        layout = CacheLayout(tmp_path, shards=0)
-        assert layout.dir_for("ab" * 32) == tmp_path
-        assert layout.dirs() == [tmp_path]
+    def test_flat_layout_is_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            CacheLayout(tmp_path, shards=0)
 
     def test_sharded_dirs_and_names(self, tmp_path):
         layout = CacheLayout(tmp_path, shards=4)
@@ -68,12 +68,83 @@ class TestCacheLayout:
     def test_budget_splits_across_shards(self):
         assert CacheLayout("/c", shards=4,
                            max_mb=4.0).shard_budget_bytes == 1024 * 1024
-        assert CacheLayout("/c", shards=0,
+        assert CacheLayout("/c", shards=1,
                            max_mb=1.0).shard_budget_bytes == 1024 * 1024
         assert CacheLayout("/c", shards=4).shard_budget_bytes is None
 
-    def test_default_shard_count(self):
+    def test_default_shard_count(self, tmp_path):
         assert DEFAULT_CACHE_SHARDS >= 2
+        assert CacheLayout.open(tmp_path).shards == DEFAULT_CACHE_SHARDS
+
+
+class TestLayoutRecord:
+    def test_shard_count_is_recorded_at_creation(self, tmp_path):
+        assert CacheLayout.open(tmp_path, 4).shards == 4
+        # Later openers read the record; no flag needed.
+        assert CacheLayout.open(tmp_path).shards == 4
+        assert CacheLayout.open(tmp_path, create=False).shards == 4
+        assert CacheLayout.resolve(str(tmp_path), None, 2.0) == \
+            CacheLayout(tmp_path, 4, 2.0)
+
+    def test_conflicting_shard_count_is_an_error(self, tmp_path):
+        CacheLayout.open(tmp_path, 4)
+        with pytest.raises(CacheLayoutError, match="created with 4 shards"):
+            CacheLayout.open(tmp_path, 16)
+        assert CacheLayout.open(tmp_path, 4).shards == 4
+
+    def test_admin_open_never_creates(self, tmp_path):
+        with pytest.raises(CacheLayoutError, match="not a rewrite cache"):
+            CacheLayout.open(tmp_path / "missing", create=False)
+        assert not (tmp_path / "missing").exists()
+
+    def test_unreadable_record_is_an_error(self, tmp_path):
+        (tmp_path / "layout.json").write_text("{torn")
+        with pytest.raises(CacheLayoutError, match="unreadable"):
+            CacheLayout.open(tmp_path)
+
+
+class TestCacheCli:
+    def _stats(self, capsys, root):
+        import json
+
+        from repro.cli import main
+
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache", str(root)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_stats_reads_the_recorded_shard_count(self, tmp_path, capsys):
+        from repro.cli import main
+
+        root = tmp_path / "cache"
+        assert main(["verify", "dot", "--oracle-trials", "1",
+                     "--rewrite-cache", str(root), "--cache-shards", "4"]) == 0
+        stats = self._stats(capsys, root)
+        assert stats["shards"] == 4 and stats["entries"] == 1
+        # A second verify without the flag is a warm hit in the same shard.
+        assert main(["verify", "dot", "--oracle-trials", "1",
+                     "--rewrite-cache", str(root)]) == 0
+        assert "rewrite-cache hit" in capsys.readouterr().err
+        assert self._stats(capsys, root)["entries"] == 1
+
+    def test_conflicting_cache_shards_exits_cleanly(self, tmp_path):
+        from repro.cli import main
+
+        root = tmp_path / "cache"
+        CacheLayout.open(root, 4)
+        with pytest.raises(SystemExit, match="created with 4 shards"):
+            main(["verify", "dot", "--oracle-trials", "1",
+                  "--rewrite-cache", str(root), "--cache-shards", "16"])
+
+    def test_cache_command_takes_no_shard_flag(self, tmp_path, capsys):
+        from repro.cli import main
+
+        CacheLayout.open(tmp_path, 2)
+        with pytest.raises(SystemExit):
+            main(["cache", "stats", "--cache", str(tmp_path),
+                  "--cache-shards", "2"])
+        with pytest.raises(SystemExit, match="not a rewrite cache"):
+            main(["cache", "gc", "--cache", str(tmp_path / "missing")])
 
 
 class TestShardedCacheRuns:
