@@ -25,6 +25,7 @@ from repro.baselines.reassemble import reassemble
 from repro.core.layout import add_vregs_section
 from repro.core.translate import TranslationContext, Translator
 from repro.elf.binary import Binary, Perm, Section
+from repro.isa.block import trap_parcel
 from repro.isa.encoding import encode
 from repro.isa.extensions import IsaProfile
 from repro.isa.instructions import Instruction
@@ -109,9 +110,7 @@ class ArmoreRewriter:
                 text.write(addr, encode(Instruction("jal", rd=0, imm=disp)))
                 stats.jal_trampolines += 1
             else:
-                trap = encode(Instruction("c.ebreak", length=2)) if instr.length == 2 \
-                    else encode(Instruction("ebreak"))
-                text.write(addr, trap)
+                text.write(addr, trap_parcel(instr.length))
                 trap_table[addr] = new
                 stats.trap_trampolines += 1
             trampoline_addrs.append(addr)

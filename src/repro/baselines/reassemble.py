@@ -26,7 +26,6 @@ from typing import Optional
 
 from repro.analysis.scan import ScanResult
 from repro.core.translate import TranslationError, Translator
-from repro.isa.assembler import Assembler
 from repro.isa.encoding import encode
 from repro.isa.instructions import Instruction
 
@@ -49,7 +48,7 @@ class _Item:
     kind: str                 # "plain" | "source" | "branch" | "jal" | "auipc-pair"
     size: int = 0
     new_addr: int = 0
-    text: Optional[str] = None     # pre-rendered body for "source"
+    code: bytes = b""              # encoded translation for "source"
     pair_partner: Optional[int] = None  # index of the addi of an auipc pair
     long_form: bool = False        # branch rewritten as inverted+jal
 
@@ -97,7 +96,7 @@ def reassemble(
         items.append(_Item(instr, "plain"))
 
     # Multi-instruction pattern replacements (loop-level translation):
-    # the head item carries the replacement text, members are elided and
+    # the head item carries the replacement code, members are elided and
     # their addresses map to the replacement start.
     pattern_heads: dict[int, object] = {}
     pattern_members: set[int] = set()
@@ -113,8 +112,8 @@ def reassemble(
         if instr.addr in pattern_heads:
             site = pattern_heads[instr.addr]
             item.kind = "source"
-            item.text = site.replacement_asm
-            item.size = len(Assembler(base=0).assemble(site.replacement_asm).code)
+            item.code = site.replacement.encode().code
+            item.size = len(item.code)
             continue
         if instr.addr in pattern_members:
             item.kind = "pattern-member"
@@ -122,9 +121,8 @@ def reassemble(
             continue
         if needs_translation(instr):
             item.kind = "source"
-            body, _ = translator.translate(instr)
-            item.text = body
-            item.size = len(Assembler(base=0).assemble(body).code)
+            item.code = translator.translate(instr).encode().code
+            item.size = len(item.code)
         elif instr.is_branch():
             item.kind = "branch"
             item.size = 4
@@ -199,8 +197,7 @@ def reassemble(
             continue  # emitted with its auipc / replaced by the pattern head
         assert len(out) == new_addr - base, "layout/emission drift"
         if item.kind == "source":
-            program = Assembler(base=new_addr).assemble(item.text)
-            out.extend(program.code)
+            out.extend(item.code)  # pc-relative only: valid at any address
         elif item.kind == "branch":
             out.extend(_emit_branch(item, items, index_of, trap_veneers))
         elif item.kind == "jal":

@@ -24,6 +24,7 @@ from repro.baselines.reassemble import reassemble
 from repro.core.layout import add_vregs_section
 from repro.core.translate import TranslationContext, Translator
 from repro.elf.binary import Binary
+from repro.isa.block import trap_parcel
 from repro.isa.encoding import encode
 from repro.isa.extensions import IsaProfile
 from repro.isa.instructions import Instruction
@@ -97,7 +98,7 @@ class SaferRewriter:
             site = instr.copy()
             site.addr = new_addr
             check_sites[new_addr] = site
-            trap = encode(Instruction("c.ebreak", length=2)) if instr.length == 2 else encode(Instruction("ebreak"))
+            trap = trap_parcel(instr.length)
             off = new_addr - text.addr
             new_text[off:off + len(trap)] = trap
             stats.instrumented_indirects += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.core.patcher import ChbpPatcher
 from repro.core.rewriter import RewriteResult
 from repro.elf.binary import Binary, Section
-from repro.isa.assembler import Assembler
+from repro.isa.block import Block, trap_parcel
 from repro.isa.encoding import encode
 from repro.isa.extensions import IsaProfile
 from repro.isa.instructions import Instruction
@@ -45,26 +45,17 @@ class StrawmanPatcher(ChbpPatcher):
             if kind == "copy":
                 continue
             if kind == "upgrade":
-                instrs = [payload.instructions[0]]
-                bodies = [payload.replacement_asm]
-                resumes = [payload.end]
-            else:
-                if payload.addr in self._covered:
-                    continue
-                instrs = [payload]
-                bodies = [self.translator.translate(payload)[0]]
-                resumes = [payload.addr + payload.length]
-            for instr, body, resume in zip(instrs, bodies, resumes):
-                self._patch_one(instr, body, resume, text, reach)
+                self._patch_one(payload.instructions[0], payload.replacement,
+                                payload.end, text, reach)
+            elif payload.addr not in self._covered:
+                self._patch_one(payload, self.translator.translate(payload),
+                                payload.addr + payload.length, text, reach)
         return True
 
-    def _patch_one(self, instr: Instruction, body: str, resume: int,
+    def _patch_one(self, instr: Instruction, body: Block, resume: int,
                    text: Section, reach: int) -> None:
-        # Trial-assemble to size the block, then place it nearby.
-        size = len(Assembler(base=0).assemble(body).code) + 4  # + return jump
-        block_addr = self._alloc.place_unconstrained(size)
-        program = Assembler(base=block_addr).assemble(body)
-        block = bytearray(program.code)
+        block = bytearray(body.encode().code)
+        block_addr = self._alloc.place_unconstrained(len(block) + 4)  # + return jump
         back_pc = block_addr + len(block)
         disp_back = resume - back_pc
         if -reach <= disp_back < reach:
@@ -79,9 +70,7 @@ class StrawmanPatcher(ChbpPatcher):
             text.write(instr.addr, encode(Instruction("jal", rd=0, imm=disp)))
             self.stats.trampolines += 1
         else:
-            trap = (encode(Instruction("c.ebreak", length=2))
-                    if instr.length == 2 else encode(Instruction("ebreak")))
-            text.write(instr.addr, trap)
+            text.write(instr.addr, trap_parcel(instr.length))
             self.trap_table[instr.addr] = block_addr
             self.stats.trap_fallbacks += 1
         self._covered.add(instr.addr)

@@ -49,8 +49,7 @@ from repro.core.translate import (
 )
 from repro.core.upgrade import UpgradeSite, find_upgrade_sites
 from repro.elf.binary import Binary, Perm, Section
-from repro.isa.assembler import Assembler
-from repro.isa.encoding import encode
+from repro.isa.block import Block, TrapBlock, trap_parcel
 from repro.isa.extensions import IsaProfile
 from repro.isa.instructions import Instruction
 from repro.isa.registers import Reg
@@ -751,63 +750,49 @@ class ChbpPatcher:
         exit_addr: int,
         exit_reg: int,
         smile_reg: Optional[int] = None,
-    ) -> tuple[int, bytes, dict[int, int]]:
-        """Assemble one target block; returns (addr, bytes, boundary map).
+    ) -> tuple[int, bytearray, dict[int, int]]:
+        """Build and place one target block; returns (addr, bytes,
+        original boundary -> block address).
 
         With the default gp-based SMILE the prologue restores gp; the
         data-pointer variant needs no restore — its jump register is
         redefined by the reconstructed ``lui`` at the block head.
         """
+        block = Block()
         if smile_reg is None:
-            lines: list[str] = [f"li gp, {self.binary.global_pointer}"]
-        else:
-            lines = []
-        entry_labels: dict[int, str] = {}
-
-        def mark(addr: int) -> None:
-            label = f".Lentry_{addr:x}"
-            entry_labels[addr] = label
-            lines.append(f"{label}:")
-
+            block.li(int(Reg.GP), self.binary.global_pointer)
+        entry_addrs: list[int] = []
         for kind, payload in main:
+            addr = payload.start if kind == "upgrade" else payload.addr
+            entry_addrs.append(addr)
+            block.bind(addr)
             if kind == "copy":
-                mark(payload.addr)
-                lines.append(self._format_copy(payload))
+                block.emit(self._copy(payload))
             elif kind == "source":
-                mark(payload.addr)
-                body, _ = self.translator.translate(payload)
-                lines.append(body)
-            else:  # upgrade
-                mark(payload.start)
-                lines.append(payload.replacement_asm)
-        lines.append(".Lexit_tramp:")
-        lines.append(".space 8")
+                block.extend(self.translator.translate(payload))
+            else:
+                block.extend(payload.replacement)
+        block.bind("exit")
+        block.space(8)
         if epilogue:
             for instr in epilogue:
-                mark(instr.addr)
-                lines.append(self._format_copy(instr))
-            lines.append(".Lepi_exit:")
-            lines.append("ebreak")
-        source_text = "\n".join(lines)
+                entry_addrs.append(instr.addr)
+                block.bind(instr.addr)
+                block.emit(self._copy(instr))
+            block.bind("epilogue-exit")
+            block.emit(Instruction("ebreak"))
 
-        # Blocks contain only pc-relative label references, so one
-        # assembly sizes the block and retargets to wherever the
-        # allocator places it — no second encode pass.
-        program = Assembler(base=0).assemble(source_text)
-        block_addr = self._alloc.place(window_start, len(program.code))
-        program = program.retarget(block_addr)
-        data = bytearray(program.code)
-
-        tramp_off = program.labels[".Lexit_tramp"] - block_addr
+        encoded = block.encode()
+        labels = encoded.labels
+        block_addr = self._alloc.place(window_start, len(encoded.code))
         # Deferred: the exit target may later be overwritten by another
         # site's window; _resolve_exits patches the final trampoline.
-        self._exit_fixups.append((block_addr, tramp_off, exit_addr, exit_reg))
+        self._exit_fixups.append((block_addr, labels["exit"], exit_addr, exit_reg))
         if epilogue:
             # Cold path: erroneous entries resume at the window end via a trap.
-            self.trap_table[program.labels[".Lepi_exit"]] = window_end
-
-        entries = {addr: program.labels[label] for addr, label in entry_labels.items()}
-        return block_addr, data, entries
+            self.trap_table[block_addr + labels["epilogue-exit"]] = window_end
+        entries = {addr: block_addr + labels[addr] for addr in entry_addrs}
+        return block_addr, bytearray(encoded.code), entries
 
     def _resolve_exits(self) -> None:
         """Finalize exit trampolines and trap resume addresses.
@@ -829,14 +814,10 @@ class ChbpPatcher:
             if redirect is not None:
                 self.trap_table[key] = redirect
 
-    def _format_copy(self, instr: Instruction) -> str:
-        from repro.isa.disassembler import format_instruction
-
+    def _copy(self, instr: Instruction) -> Instruction:
         if not self._copyable(instr):
             raise TranslationError(f"cannot copy {instr.mnemonic} to a new pc")
-        clone = instr.copy()
-        clone.addr = None
-        return format_instruction(clone)
+        return instr
 
     # -- trap fallback -------------------------------------------------------
 
@@ -847,29 +828,21 @@ class ChbpPatcher:
                 continue
             if kind == "upgrade":
                 instr = payload.instructions[0]
-                body = payload.replacement_asm
+                body = payload.replacement
                 resume = payload.end
             else:
                 instr = payload
                 if instr.addr in self._covered:
                     continue
-                body, _ = self.translator.translate(instr)
+                body = self.translator.translate(instr)
                 resume = instr.addr + instr.length
-            source_text = f"{body}\nebreak"
-            program = Assembler(base=0).assemble(source_text)
-            block_addr = self._alloc.place_unconstrained(len(program.code))
-            program = program.retarget(block_addr)
-            self._blocks[block_addr] = bytes(program.code)
-            ebreak_addr = block_addr + len(program.code) - 4
-            self.trap_table[ebreak_addr] = resume
-            trap = (
-                encode(Instruction("c.ebreak", length=2))
-                if instr.length == 2
-                else encode(Instruction("ebreak"))
-            )
+            block = TrapBlock.place(body, self._alloc.place_unconstrained)
+            self._blocks[block.addr] = block.code
+            trap_entries = block.trap_entries(instr.addr, resume)
+            self.trap_table.update(trap_entries)
+            trap = trap_parcel(instr.length)
             original_bytes = text.read(instr.addr, instr.length)
             text.write(instr.addr, trap)
-            self.trap_table[instr.addr] = block_addr
             self.stats.trap_fallbacks += 1
             self._covered.add(instr.addr)
             self.migration_unsafe.append((instr.addr, resume))
@@ -879,11 +852,11 @@ class ChbpPatcher:
                 "start": instr.addr,
                 "end": instr.addr + instr.length,
                 "original": original_bytes,
-                "patched": trap[:instr.length],
-                "block": block_addr,
+                "patched": trap,
+                "block": block.addr,
                 "resume": resume,
                 "reg": int(Reg.GP),
                 "fault_keys": [],
-                "trap_keys": [instr.addr, ebreak_addr],
+                "trap_keys": [key for key, _ in trap_entries],
                 "sources": [],
             })

@@ -2,7 +2,9 @@
 
 The workload builders (:mod:`repro.workloads`) and many tests express
 programs as assembly text; this module turns that text into
-``Instruction`` lists and machine bytes with label resolution.
+``Instruction`` lists and machine bytes with label resolution.  The
+rewriter never emits text: it builds its code from ``Instruction``
+objects with :mod:`repro.isa.block`.
 
 Supported syntax::
 
@@ -23,13 +25,13 @@ Pseudo-instructions: ``nop``, ``mv``, ``li``, ``la``, ``not``, ``neg``,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.isa.encoding import encode
-from repro.isa.fields import fits_signed, split_hi_lo
+from repro.isa.block import expand_li
+from repro.isa.encoding import encode, encode_vtype
+from repro.isa.fields import split_hi_lo
 from repro.isa.instructions import Instruction
 from repro.isa.registers import NAME_TO_REG, NAME_TO_VREG, Reg
-from repro.isa.encoding import encode_vtype
 
 
 class AssemblyError(ValueError):
@@ -108,7 +110,6 @@ class _Item:
     data: bytes = b""
     align: int = 0
     addr: int = 0
-    aligned: bool = False  # pad width depends on the absolute pc
 
 
 @dataclass
@@ -119,33 +120,10 @@ class AssembledProgram:
     instructions: list[Instruction]
     labels: dict[str, int]
     base: int
-    #: True when the encodings are base-independent: every label
-    #: reference in the supported syntax is pc-relative, so only
-    #: ``.align`` padding (whose width depends on the absolute pc) ties
-    #: code bytes to the assembly base.
-    relocatable: bool = True
 
     def label(self, name: str) -> int:
         """Absolute address of label *name*."""
         return self.labels[name]
-
-    def retarget(self, base: int) -> "AssembledProgram":
-        """The same program placed at *base* without re-assembling.
-
-        Valid only for relocatable programs (no ``.align``): code bytes
-        are identical at any base, so retargeting just shifts labels and
-        instruction addresses.  Callers that may assemble ``.align``
-        must fall back to a second :meth:`Assembler.assemble` pass.
-        """
-        if not self.relocatable:
-            raise ValueError("program uses .align; re-assemble at the new base")
-        delta = base - self.base
-        if delta == 0:
-            return self
-        instructions = [replace(i, addr=(i.addr + delta if i.addr is not None else None))
-                        for i in self.instructions]
-        labels = {name: addr + delta for name, addr in self.labels.items()}
-        return AssembledProgram(self.code, instructions, labels, base)
 
 
 class Assembler:
@@ -160,7 +138,7 @@ class Assembler:
         """Size in bytes of a pseudo-instruction expansion."""
         if mnem == "li":
             imm = _parse_int(ops[1], line_no)
-            return 4 * len(_expand_li(0, imm))
+            return 4 * len(expand_li(0, imm))
         if mnem == "la":
             return 8
         return 4
@@ -202,7 +180,7 @@ class Assembler:
         if mnem == ".align":
             align = 1 << _parse_int(ops[0], line_no)
             pad = (-pc) % align
-            return _Item("bytes", line_no, pad, data=bytes(pad), aligned=True)
+            return _Item("bytes", line_no, pad, data=bytes(pad))
         if mnem == ".space":
             n = _parse_int(ops[0], line_no)
             return _Item("bytes", line_no, n, data=bytes(n))
@@ -266,7 +244,7 @@ class Assembler:
         if mnem == "li":
             rd = _reg(ops[0], ln)
             value = _parse_int(ops[1], ln)
-            return _expand_li(rd, value)
+            return expand_li(rd, value)
         if mnem == "la":
             rd = _reg(ops[0], ln)
             offset = imm_abs(ops[1]) - pc
@@ -367,11 +345,8 @@ class Assembler:
         items, labels = self._scan(source)
         code = bytearray()
         instructions: list[Instruction] = []
-        relocatable = True
         for item in items:
             if item.kind == "bytes":
-                if item.aligned:
-                    relocatable = False
                 code.extend(item.data)
                 continue
             expanded = self._expand(item, labels)
@@ -388,8 +363,7 @@ class Assembler:
                     f"{item.mnemonic}: pass-1 size {item.size} != pass-2 size {total}",
                     item.line_no,
                 )
-        return AssembledProgram(bytes(code), instructions, labels, self.base,
-                                relocatable=relocatable)
+        return AssembledProgram(bytes(code), instructions, labels, self.base)
 
 
 def _split_mem(text: str, line_no: int) -> tuple[int, int]:
@@ -400,34 +374,6 @@ def _split_mem(text: str, line_no: int) -> tuple[int, int]:
     off_text = m.group("off").strip()
     offset = _parse_int(off_text, line_no) if off_text else 0
     return offset, _reg(m.group("base"), line_no)
-
-
-def _expand_li(rd: int, value: int) -> list[Instruction]:
-    """Expand ``li rd, value`` (any 64-bit constant) recursively.
-
-    Mirrors the standard toolchain algorithm: peel the low 12 bits,
-    materialize the (arithmetically shifted) remainder, then
-    ``slli``/``addi`` the low part back in.
-    """
-    if fits_signed(value, 12):
-        return [Instruction("addi", rd=rd, rs1=0, imm=value)]
-    if fits_signed(value, 32):
-        lo = value & 0xFFF
-        if lo >= 0x800:
-            lo -= 0x1000
-        hi = ((value - lo) >> 12) & 0xFFFFF
-        out = [Instruction("lui", rd=rd, imm=hi)]
-        if lo:
-            out.append(Instruction("addiw", rd=rd, rs1=rd, imm=lo))
-        return out
-    lo = value & 0xFFF
-    if lo >= 0x800:
-        lo -= 0x1000
-    out = _expand_li(rd, (value - lo) >> 12)
-    out.append(Instruction("slli", rd=rd, rs1=rd, imm=12))
-    if lo:
-        out.append(Instruction("addi", rd=rd, rs1=rd, imm=lo))
-    return out
 
 
 def assemble(source: str, base: int = 0) -> AssembledProgram:

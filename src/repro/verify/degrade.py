@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from repro.core.translate import TranslationContext, TranslationError, Translator
 from repro.elf.binary import Binary
-from repro.isa.assembler import Assembler
+from repro.isa.block import Block, TrapBlock, trap_parcel
 from repro.isa.decoding import IllegalEncodingError, decode
-from repro.isa.encoding import encode
 from repro.isa.extensions import PROFILES
 from repro.isa.instructions import Instruction
 from repro.isa.registers import Reg
@@ -63,15 +62,14 @@ def degrade_region_to_trap(
     ct = rewritten.section(".chimera.text")
 
     # Translate every non-native source up front: all-or-nothing.
-    planned: list[tuple[int, Instruction, str]] = []
+    planned: list[tuple[int, Instruction, Block]] = []
     try:
         for saddr, shex in rec.sources:
             src = bytes.fromhex(shex)
             instr = decode(src, 0, addr=saddr)
             if instr.extension in target.extensions:
                 continue  # runs natively on the target core: no trap needed
-            body, _ = translator.translate(instr)
-            planned.append((saddr, instr, f"{body}\nebreak"))
+            planned.append((saddr, instr, translator.translate(instr)))
     except (TranslationError, IllegalEncodingError) as exc:
         raise DegradeError(
             f"cannot build trap fallback for region {rec.start:#x}: {exc}"
@@ -99,29 +97,26 @@ def degrade_region_to_trap(
 
     trap_table = meta["trap_table"]
     new_records: list[PatchRecord] = []
-    for saddr, instr, source_text in planned:
-        block_addr = (ct.end + 0xF) & ~0xF
-        code = bytes(Assembler(base=block_addr).assemble(source_text).code)
-        ct.data.extend(b"\x00" * (block_addr - ct.end))
-        ct.data.extend(code)
-        ebreak_addr = block_addr + len(code) - 4
+    for saddr, instr, body in planned:
+        block = TrapBlock.place(body, lambda size: (ct.end + 0xF) & ~0xF)
+        ct.data.extend(bytes(block.addr - ct.end))
+        ct.data.extend(block.code)
         resume = saddr + instr.length
-        trap_table[saddr] = block_addr
-        trap_table[ebreak_addr] = resume
-        trap = (encode(Instruction("c.ebreak", length=2))
-                if instr.length == 2 else encode(Instruction("ebreak")))
+        trap_entries = block.trap_entries(saddr, resume)
+        trap_table.update(trap_entries)
+        trap = trap_parcel(instr.length)
         text.write(saddr, trap)
         new_records.append(PatchRecord(
             start=saddr,
             end=saddr + instr.length,
             kind="trap",
             original_bytes=rec.source_bytes(saddr),
-            patched_bytes=bytes(trap[:instr.length]),
-            block_addr=block_addr,
+            patched_bytes=trap,
+            block_addr=block.addr,
             resume=resume,
             smile_reg=int(Reg.GP),
             fault_entries=(),
-            trap_entries=((saddr, block_addr), (ebreak_addr, resume)),
+            trap_entries=trap_entries,
             sources=(),
         ))
 

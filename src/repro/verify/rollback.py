@@ -35,9 +35,8 @@ from typing import Optional
 from repro.core.smile import smile_window_violations
 from repro.core.translate import TranslationContext, TranslationError, Translator
 from repro.elf.binary import Perm
-from repro.isa.assembler import Assembler
+from repro.isa.block import TrapBlock, trap_parcel
 from repro.isa.decoding import IllegalEncodingError, decode
-from repro.isa.encoding import encode
 from repro.isa.extensions import PROFILES
 from repro.isa.instructions import Instruction
 from repro.isa.registers import Reg
@@ -222,15 +221,11 @@ class PatchHealer:
             rt.fault_table.entries.pop(key, None)
             rt.smile_regs.pop(key, None)
         entry.heal_patches = []
-        for saddr, instr, (block_addr, code) in heal_blocks:
-            ebreak_addr = block_addr + len(code) - 4
-            rt.trap_table[saddr] = block_addr
-            rt.trap_table[ebreak_addr] = saddr + instr.length
-            trap = (encode(Instruction("c.ebreak", length=2))
-                    if instr.length == 2 else encode(Instruction("ebreak")))
-            process.space.patch_code(saddr, trap)
+        for saddr, instr, block in heal_blocks:
+            rt.trap_table.update(block.trap_entries(saddr, saddr + instr.length))
+            process.space.patch_code(saddr, trap_parcel(instr.length))
             entry.heal_patches.append(
-                (saddr, instr.length, block_addr, len(code), ebreak_addr))
+                (saddr, instr.length, block.addr, len(block.code), block.ebreak_addr))
         # The quarantined span is no longer a patched region; the trap
         # sites the rollback introduced are.
         rt.patched_regions = [
@@ -240,18 +235,15 @@ class PatchHealer:
         for saddr, slen, _, _, _ in entry.heal_patches:
             rt.patched_regions.append((saddr, saddr + slen))
 
-    def _build_heal_block(self, process, instr: Instruction) -> tuple[int, bytes]:
+    def _build_heal_block(self, process, instr: Instruction) -> TrapBlock:
         """Translate one source into an ebreak-terminated fallback block
         mapped into a fresh RX heal segment."""
-        body, _ = self._translator.translate(instr)
-        source_text = f"{body}\nebreak"
-        size = len(Assembler(base=0).assemble(source_text).code)
-        block_addr = self._place_heal(process, size)
-        code = bytes(Assembler(base=block_addr).assemble(source_text).code)
+        block = TrapBlock.place(self._translator.translate(instr),
+                                lambda size: self._place_heal(process, size))
         process.space.map(
-            f"{_HEAL_SEGMENT_PREFIX}.{block_addr:x}",
-            block_addr, bytearray(code), Perm.RX)
-        return block_addr, code
+            f"{_HEAL_SEGMENT_PREFIX}.{block.addr:x}",
+            block.addr, bytearray(block.code), Perm.RX)
+        return block
 
     def _place_heal(self, process, size: int) -> int:
         if self._heal_cursor is None:
@@ -359,9 +351,7 @@ class PatchHealer:
                 rt.smile_regs.pop(key, None)
             cpu.invalidate_code(rec.start, rec.end - rec.start)
             for saddr, slen, block, blen, ebreak_addr in entry.heal_patches:
-                trap = (encode(Instruction("c.ebreak", length=2))
-                        if slen == 2 else encode(Instruction("ebreak")))
-                process.space.patch_code(saddr, trap)
+                process.space.patch_code(saddr, trap_parcel(slen))
                 rt.trap_table[saddr] = block
                 rt.trap_table[ebreak_addr] = saddr + slen
                 cpu.invalidate_code(saddr, slen)

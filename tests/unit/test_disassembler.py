@@ -34,7 +34,8 @@ class TestLinearSweep:
 
 class TestFormattingRoundtrip:
     """format_instruction output must re-assemble to identical bytes for
-    every copyable instruction — the patcher's _format_copy relies on it."""
+    every copyable instruction, so disassembly listings can be pasted
+    back into workload sources."""
 
     CASES = [
         "addi a0, a1, -5",

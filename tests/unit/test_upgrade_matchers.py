@@ -92,7 +92,7 @@ _start:
 """)
         sites = find_upgrade_sites(scan, cfg, live, RV64GCV)
         assert [s.kind for s in sites] == ["zba"]
-        assert "sh2add" in sites[0].replacement_asm
+        assert sites[0].replacement.items[0].mnemonic == "sh2add"
 
     def test_zba_rejected_when_temp_live(self):
         binary, scan, cfg, live = analyze("""
