@@ -72,6 +72,10 @@ def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
                         help="disable the superblock execution engine; "
                              "every CPU runs the plain interpreter loop")
     _add_trace_flags(parser)
+
+
+def _add_rewrite_cache_flags(parser: argparse.ArgumentParser) -> None:
+    """The rewrite cache (run/verify: the commands that rewrite through it)."""
     parser.add_argument("--rewrite-cache", metavar="DIR", default=None,
                         help="content-addressed cache of verified rewrites; "
                              "hits skip both translation and verification")
@@ -665,6 +669,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry-out", metavar="DIR", default=None,
                    help="write trace.json + metrics.json into DIR")
     _add_perf_flags(p)
+    _add_rewrite_cache_flags(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser(
@@ -716,6 +721,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry-out", metavar="DIR", default=None,
                    help="write trace.json + metrics.json into DIR")
     _add_perf_flags(p)
+    _add_rewrite_cache_flags(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("chaos", help="adversarial fault-injection sweep + scenarios")

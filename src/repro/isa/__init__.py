@@ -4,8 +4,10 @@ This package implements the architectural substrate the Chimera
 reproduction is built on: real RV64I/M/Zba/C-subset/V-subset instruction
 encodings (including the compressed-parcel rules and the reserved/illegal
 encodings that the SMILE trampoline relies on), an ``Instruction`` IR,
-a two-pass textual assembler, and a decoder usable both linearly and
-from the recursive-descent scanner in :mod:`repro.analysis`.
+the block builder rewritten code is encoded with (:mod:`repro.isa.block`),
+a two-pass textual assembler for workloads and tests, and a decoder
+usable both linearly and from the recursive-descent scanner in
+:mod:`repro.analysis`.
 """
 
 from repro.isa.registers import Reg, VReg, ABI_NAMES, reg_name

@@ -10,7 +10,7 @@ import pytest
 import repro.chaos
 import repro.resilience.scenarios
 from repro.chaos.outcomes import ChaosReport, ScenarioResult, SweepReport
-from repro.cli import main
+from repro.cli import main, make_parser
 from repro.elf.builder import ProgramBuilder
 from repro.elf.fileformat import save_binary
 from repro.workloads.programs import FibonacciWorkload
@@ -148,6 +148,36 @@ class TestVerifyExitCodes:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out and "21" in out and "REPRO_FUZZ_SEED" in out
+
+
+class TestRewriteCacheFlags:
+    """chaos and resilience never rewrite through the cache, so they
+    reject its flags; the commands that do use it keep theirs."""
+
+    FLAGS = (["--rewrite-cache", "c"], ["--cache-shards", "4"],
+             ["--cache-max-mb", "8"])
+
+    @pytest.mark.parametrize("command", [["chaos", "dot"], ["resilience", "all"]])
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_chaos_and_resilience_reject_cache_flags(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(command + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["run", "dot", "--rewrite-cache", "c", "--cache-shards", "4",
+          "--cache-max-mb", "8"], ("c", 4, 8.0)),
+        (["verify", "dot", "--rewrite-cache", "c", "--cache-shards", "4",
+          "--cache-max-mb", "8"], ("c", 4, 8.0)),
+        (["serve", "--cache", "c", "--cache-shards", "4", "--cache-max-mb", "8"],
+         ("c", 4, 8.0)),
+        (["cache", "stats", "--cache", "c", "--cache-max-mb", "8"], ("c", None, 8.0)),
+    ])
+    def test_cache_commands_keep_their_flags(self, argv, expected):
+        args = make_parser().parse_args(argv)
+        root = getattr(args, "rewrite_cache", None) or args.cache
+        assert (root, getattr(args, "cache_shards", None), args.cache_max_mb) == expected
 
 
 class TestPerfFlagExitCodes:
