@@ -2,8 +2,9 @@
 
 Two halves (see DESIGN.md "Robustness & chaos testing"):
 
-* :func:`run_workload_sweeps` rewrites a workload under SMILE and under
-  all-trap patching (``use_smile=False``) and lets the
+* :func:`run_workload_sweeps` rewrites a workload under SMILE, under
+  all-trap patching (``use_smile=False``) and under the data-pointer
+  SMILE variant (``smile_register="data-pointer"``) and lets the
   :class:`~repro.chaos.sweeper.TrampolineAttackSweeper` force a jump to
   every patched byte of each;
 * :func:`run_injector_scenarios` runs purpose-built workloads under the
@@ -42,10 +43,17 @@ from repro.isa.extensions import RV64GC, RV64GCV, IsaProfile
 from repro.sim.faults import EcallTrap, ExitRequest, SimFault, UnrecoverableFault
 from repro.sim.machine import SIGSEGV, Core, Kernel
 from repro.sim.syscalls import handle_syscall
+from repro.verify.records import patched_regions
 
-#: Patching modes a sweep covers: the SMILE design and the all-trap
-#: fallback configuration (the paper's residue path, made total).
-SWEEP_MODES = ("smile", "trap-fallback")
+#: Patching modes a sweep covers, as rewriter options: the SMILE design,
+#: the all-trap fallback configuration (the paper's residue path, made
+#: total) and the Fig. 5 data-pointer SMILE variant.
+_MODE_OPTIONS = {
+    "smile": {},
+    "trap-fallback": {"use_smile": False},
+    "smile-dp": {"smile_register": "data-pointer"},
+}
+SWEEP_MODES = tuple(_MODE_OPTIONS)
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -67,7 +75,7 @@ def sweep_binary(
     its ledger is cross-checked against the sweep: a hard failure inside
     an admitted region escalates to ``admission-escape``.
     """
-    rewriter = ChimeraRewriter(use_smile=(mode != "trap-fallback"))
+    rewriter = ChimeraRewriter(**_MODE_OPTIONS[mode])
     result = rewriter.rewrite(original, target)
     admitted = None
     if verify:
@@ -286,7 +294,7 @@ def scenario_corrupt_fault_entry() -> ScenarioResult:
     kernel, runtime, process, result = _prepare(binary)
     # Aim the corrupt redirects at a reserved mid-parcel of the first
     # patched window (offset 6 = P3): a fault that retires nothing.
-    regions = result.binary.metadata["chimera"]["patched_regions"]
+    regions = patched_regions(result.binary.metadata["chimera"]["patch_records"])
     smile = [r for r in regions if r[2] == "smile"]
     if not smile:
         return ScenarioResult("corrupt-fault-entry", False, "no SMILE window to corrupt")
@@ -417,7 +425,7 @@ def scenario_self_heal_bitrot() -> ScenarioResult:
     name = "self-heal-bitrot"
     binary = build_erroneous_workload()
     result = ChimeraRewriter().rewrite(binary, RV64GC)
-    regions = result.binary.metadata["chimera"]["patched_regions"]
+    regions = patched_regions(result.binary.metadata["chimera"]["patch_records"])
     # Only the lowest-addressed SMILE window is on the workload's normal
     # path (later ones are preserved secondary trampolines that only
     # erroneous entries reach); bitrot must hit code that executes.
@@ -461,7 +469,7 @@ def scenario_trace_tier_sweep() -> ScenarioResult:
     name = "trace-tier-sweep"
     binary = build_erroneous_workload()
     result = ChimeraRewriter().rewrite(binary, RV64GC)
-    regions = result.binary.metadata["chimera"]["patched_regions"]
+    regions = patched_regions(result.binary.metadata["chimera"]["patch_records"])
     smile = sorted(r for r in regions if r[2] in ("smile", "smile-dp"))[:1]
     try:
         TrampolineBitrotInjector(smile)

@@ -107,7 +107,6 @@ class DropFaultTableInjector(Injector):
             return
         self.dropped = len(runtime.fault_table.entries)
         runtime.fault_table.entries.clear()
-        runtime.smile_regs.clear()
 
 
 class CorruptFaultTableInjector(Injector):

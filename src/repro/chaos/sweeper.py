@@ -56,6 +56,7 @@ from repro.sim.faults import (
 from repro.sim.machine import Core, Kernel
 from repro.sim.syscalls import handle_syscall
 from repro.telemetry import current as telemetry_current
+from repro.verify.records import patched_regions
 
 
 class TrampolineAttackSweeper:
@@ -95,9 +96,7 @@ class TrampolineAttackSweeper:
         #: ``admission-escape``: every admitted region must survive the
         #: full P1/P2/P3 sweep, or the verifier's invariants are wrong.
         self.admitted = admitted
-        self.regions: list[tuple[int, int, str]] = [
-            tuple(r) for r in meta.get("patched_regions", ())
-        ]
+        self.regions = patched_regions(meta.get("patch_records", ()))
         self.core_profile = PROFILES[meta["target_profile"]]
         self._ct_range: Optional[tuple[int, int]] = None
         if rewritten.has_section(".chimera.text"):

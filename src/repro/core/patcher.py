@@ -26,7 +26,7 @@ trap-based trampolines, mirroring the paper's ~1% residue.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.analysis.cfg import build_cfg
@@ -55,7 +55,7 @@ from repro.isa.instructions import Instruction
 from repro.isa.registers import Reg
 from repro.sim.cost import ArchParams, DEFAULT_ARCH
 from repro.telemetry import current as telemetry_current
-from repro.verify.records import PatchRecord
+from repro.verify.records import PatchRecord, install, patched_regions
 
 #: Registers never usable as exit registers (ABI-pinned or special).
 _EXIT_FORBIDDEN = frozenset({int(Reg.ZERO), int(Reg.SP), int(Reg.GP), int(Reg.TP), int(Reg.RA)})
@@ -169,8 +169,6 @@ class ChbpPatcher:
         #: all-fallback configuration the chaos harness sweeps alongside
         #: the SMILE design (the paper's baselines live here full-time).
         self.use_smile = use_smile
-        #: data-pointer mode: P1 address -> register holding the pointer.
-        self.smile_regs: dict[int, int] = {}
         self.compressed = bool(binary.metadata.get("has_rvc", True))
         self.stats = PatchStats()
         self.fault_table = FaultTable()
@@ -180,14 +178,18 @@ class ChbpPatcher:
         #: rewritten variants (patched regions); migration must be delayed
         #: while the pc is inside one (paper §4.3).
         self.migration_unsafe: list[tuple[int, int]] = []
-        #: (start, end, kind) for every overwritten byte span; kind is
-        #: "smile", "smile-dp" or "trap".  The chaos sweeper enumerates
-        #: its attack offsets from these.
-        self.patched_regions: list[tuple[int, int, str]] = []
-        #: Per-patch provenance collected while patching; finalized into
-        #: frozen :class:`PatchRecord`s after ``_resolve_exits`` (trap
-        #: resume addresses are re-pointed there).
-        self._record_drafts: list[dict] = []
+        #: One :class:`PatchRecord` per patched region, in patching order;
+        #: each owns the table entries it installed (``_resolve_exits``
+        #: re-points the trap records' resume addresses).
+        self.patch_records: list[PatchRecord] = []
+        #: (ebreak addr, window end) of upgrade epilogues: erroneous
+        #: entries trap back to the window end.  No record owns these.
+        self._epilogue_exits: list[tuple[int, int]] = []
+
+    @property
+    def patched_regions(self) -> list[tuple[int, int, str]]:
+        """(start, end, kind) of every overwritten span (from the records)."""
+        return patched_regions(self.patch_records)
 
     # -- top level --------------------------------------------------------
 
@@ -259,50 +261,26 @@ class ChbpPatcher:
             "vregs_base": vregs_base,
             "target_profile": self.target_profile.name,
             "migration_unsafe": sorted(self.migration_unsafe),
-            "patched_regions": sorted(self.patched_regions),
-            "smile_regs": dict(self.smile_regs),
-            "patch_records": self._finalize_records(),
+            "patch_records": tuple(sorted(self.patch_records, key=lambda r: r.start)),
         }
         if telemetry.enabled:
             self._record_metrics(telemetry.metrics)
         return out
 
-    def _finalize_records(self) -> tuple[PatchRecord, ...]:
-        """Freeze the per-patch drafts into admission/rollback records.
-
-        Runs after ``_resolve_exits`` so the trap-table values captured
-        here are the final (fault-table-re-pointed) ones.
-        """
-        records = []
-        for d in self._record_drafts:
-            records.append(PatchRecord(
-                start=d["start"],
-                end=d["end"],
-                kind=d["kind"],
-                original_bytes=bytes(d["original"]),
-                patched_bytes=bytes(d["patched"]),
-                block_addr=d["block"],
-                resume=d["resume"],
-                smile_reg=d["reg"],
-                fault_entries=tuple(d["fault_keys"]),
-                trap_entries=tuple(
-                    (key, self.trap_table[key])
-                    for key in d["trap_keys"] if key in self.trap_table
-                ),
-                sources=tuple(
-                    (addr, bytes(data).hex()) for addr, data in d["sources"]
-                ),
-            ))
-        return tuple(sorted(records, key=lambda r: r.start))
+    def _finish(self, rec: PatchRecord) -> None:
+        """Adopt a finished patch: install its table entries."""
+        install(rec, self.fault_table, self.trap_table)
+        self.stats.table_entries += len(rec.fault_entries)
+        self.patch_records.append(rec)
 
     def _record_metrics(self, metrics) -> None:
         """Publish the patch ledger as ``patch.*`` metric series."""
-        kinds = Counter(kind for _, _, kind in self.patched_regions)
+        kinds = Counter(rec.kind for rec in self.patch_records)
         for kind, count in kinds.items():
             metrics.inc("patch.trampolines", count, kind=kind,
                         target=self.target_profile.name)
-        for lo, hi, _ in self.patched_regions:
-            metrics.observe("patch.region_bytes", hi - lo)
+        for rec in self.patch_records:
+            metrics.observe("patch.region_bytes", rec.end - rec.start)
         for name, value in self.stats.as_dict().items():
             if name == "trampolines":
                 continue  # covered by the kind-labeled series above
@@ -550,7 +528,7 @@ class ChbpPatcher:
             kind == "upgrade" and payload.entry_policy == "restart-head"
             for kind, payload in site.elements
         )
-        fault_keys: list[tuple[int, int]] = []
+        fault_entries: list[tuple[int, int]] = []
         for baddr in (i.addr for i in window[1:]):
             target = entries.get(baddr)
             if target is None and restart_head:
@@ -558,30 +536,26 @@ class ChbpPatcher:
                 # at the trampoline head (see downgrade_loops docstring).
                 target = window_start
             if target is not None:
-                self.fault_table.add(baddr, target)
-                fault_keys.append((baddr, target))
-                self.stats.table_entries += 1
+                fault_entries.append((baddr, target))
         self._covered.update(i.addr for i in window)
         self.migration_unsafe.append((window_start, max(window_end, site.end())))
-        self.patched_regions.append((window_start, window_end, "smile"))
-        self._record_drafts.append({
-            "kind": "smile",
-            "start": window_start,
-            "end": window_end,
-            "original": original_bytes,
-            "patched": bytes(patch),
-            "block": block_addr,
-            "resume": exit_addr,
-            "reg": int(Reg.GP),
-            "fault_keys": fault_keys,
-            "trap_keys": [],
-            "sources": [
+        self._finish(PatchRecord(
+            start=window_start,
+            end=window_end,
+            kind="smile",
+            original_bytes=original_bytes,
+            patched_bytes=bytes(patch),
+            block_addr=block_addr,
+            resume=exit_addr,
+            smile_reg=int(Reg.GP),
+            fault_entries=tuple(fault_entries),
+            sources=tuple(
                 (i.addr, original_bytes[i.addr - window_start:
-                                        i.addr - window_start + i.length])
+                                        i.addr - window_start + i.length].hex())
                 for i in site.sources
                 if window_start <= i.addr < window_end
-            ],
-        })
+            ),
+        ))
         return True
 
     # -- Fig. 5: SMILE via a general data-pointer register ------------------
@@ -671,32 +645,27 @@ class ChbpPatcher:
         original_bytes = text.read(window_start, window_end - window_start)
         # The sources themselves stay original in text (only the pointer
         # pair is overwritten) — capture them for rollback re-trapping.
-        source_bytes = [
-            (i.addr, text.read(i.addr, i.length)) for i in site.sources
-        ]
+        sources = tuple(
+            (i.addr, text.read(i.addr, i.length).hex()) for i in site.sources
+        )
         text.write(window_start, tramp.encode())
         self.stats.trampolines += 1
-        # P1 = the mem slot; its copied reconstruction is the redirect.
-        self.fault_table.add(mem.addr, entries[mem.addr])
-        self.smile_regs[mem.addr] = reg
-        self.stats.table_entries += 1
         self._covered.update(i.addr for i in window)
         self._covered.update(i.addr for i in site.sources)
         self.migration_unsafe.append((window_start, max(window_end, site.end())))
-        self.patched_regions.append((window_start, window_end, "smile-dp"))
-        self._record_drafts.append({
-            "kind": "smile-dp",
-            "start": window_start,
-            "end": window_end,
-            "original": original_bytes,
-            "patched": tramp.encode(),
-            "block": block_addr,
-            "resume": exit_addr,
-            "reg": reg,
-            "fault_keys": [(mem.addr, entries[mem.addr])],
-            "trap_keys": [],
-            "sources": source_bytes,
-        })
+        self._finish(PatchRecord(
+            start=window_start,
+            end=window_end,
+            kind="smile-dp",
+            original_bytes=original_bytes,
+            patched_bytes=tramp.encode(),
+            block_addr=block_addr,
+            resume=exit_addr,
+            smile_reg=reg,
+            # P1 = the mem slot; its copied reconstruction is the redirect.
+            fault_entries=((mem.addr, entries[mem.addr]),),
+            sources=sources,
+        ))
         return True
 
     def _main_path(
@@ -790,7 +759,8 @@ class ChbpPatcher:
         self._exit_fixups.append((block_addr, labels["exit"], exit_addr, exit_reg))
         if epilogue:
             # Cold path: erroneous entries resume at the window end via a trap.
-            self.trap_table[block_addr + labels["epilogue-exit"]] = window_end
+            self._epilogue_exits.append(
+                (block_addr + labels["epilogue-exit"], window_end))
         entries = {addr: block_addr + labels[addr] for addr in entry_addrs}
         return block_addr, bytearray(encoded.code), entries
 
@@ -803,16 +773,22 @@ class ChbpPatcher:
         exits through the fault table: jump straight to the copied
         instruction in *j*'s target block instead.
         """
+        def resolve(addr: int) -> int:
+            return self.fault_table.lookup(addr) or addr
+
         for block_addr, tramp_off, exit_addr, exit_reg in self._exit_fixups:
-            target = self.fault_table.lookup(exit_addr) or exit_addr
             data = self._blocks[block_addr]
             data[tramp_off:tramp_off + 8] = vanilla_trampoline(
-                block_addr + tramp_off, target, exit_reg
+                block_addr + tramp_off, resolve(exit_addr), exit_reg
             )
-        for key, resume in list(self.trap_table.items()):
-            redirect = self.fault_table.lookup(resume)
-            if redirect is not None:
-                self.trap_table[key] = redirect
+        for key, resume in self._epilogue_exits:
+            self.trap_table[key] = resolve(resume)
+        for idx, rec in enumerate(self.patch_records):
+            if rec.trap_entries:
+                rec = replace(rec, trap_entries=tuple(
+                    (key, resolve(target)) for key, target in rec.trap_entries))
+                install(rec, self.fault_table, self.trap_table)
+                self.patch_records[idx] = rec
 
     def _copy(self, instr: Instruction) -> Instruction:
         if not self._copyable(instr):
@@ -838,25 +814,20 @@ class ChbpPatcher:
                 resume = instr.addr + instr.length
             block = TrapBlock.place(body, self._alloc.place_unconstrained)
             self._blocks[block.addr] = block.code
-            trap_entries = block.trap_entries(instr.addr, resume)
-            self.trap_table.update(trap_entries)
             trap = trap_parcel(instr.length)
             original_bytes = text.read(instr.addr, instr.length)
             text.write(instr.addr, trap)
             self.stats.trap_fallbacks += 1
             self._covered.add(instr.addr)
             self.migration_unsafe.append((instr.addr, resume))
-            self.patched_regions.append((instr.addr, instr.addr + instr.length, "trap"))
-            self._record_drafts.append({
-                "kind": "trap",
-                "start": instr.addr,
-                "end": instr.addr + instr.length,
-                "original": original_bytes,
-                "patched": trap,
-                "block": block.addr,
-                "resume": resume,
-                "reg": int(Reg.GP),
-                "fault_keys": [],
-                "trap_keys": [key for key, _ in trap_entries],
-                "sources": [],
-            })
+            self._finish(PatchRecord(
+                start=instr.addr,
+                end=instr.addr + instr.length,
+                kind="trap",
+                original_bytes=original_bytes,
+                patched_bytes=trap,
+                block_addr=block.addr,
+                resume=resume,
+                smile_reg=int(Reg.GP),
+                trap_entries=block.trap_entries(instr.addr, resume),
+            ))

@@ -11,9 +11,9 @@ attributed to its exact region as a structured
 re-dispatched under :data:`~repro.resilience.policy.PIPELINE_RETRY_POLICY`.
 A region that exhausts its retries is quarantined and **degraded** —
 re-admitted on the verified trap-fallback encoding
-(:mod:`repro.verify.degrade`) or excluded — so a release always
-completes with a machine-readable account of what was verified,
-degraded, or refused.  ``--executor serial`` verifies in-line.
+(:mod:`repro.verify.degrade`), or excluded when that fails — so a
+release always completes with a machine-readable account of what was
+verified, degraded, or refused.  ``--executor serial`` verifies in-line.
 Results are deterministic for any executor and job count: each oracle
 trial's RNG is derived from ``(seed, region, trial)`` alone and verdicts
 are merged in record order, so the rewritten bytes and the
@@ -685,7 +685,6 @@ def rewrite_and_verify(
     executor: Optional[str] = None,
     region_timeout: Optional[float] = DEFAULT_REGION_TIMEOUT,
     resume: bool = True,
-    degrade: str = "trap",
     retry_policy: Optional[RetryPolicy] = None,
     failure_injector=None,
     slots=None,
@@ -697,10 +696,10 @@ def rewrite_and_verify(
 
     ``executor`` is "serial" or "process"; None auto-selects
     "process" when ``jobs > 1`` (fault isolation plus real parallelism
-    for the pure-Python oracle) and "serial" otherwise.  ``degrade``
-    picks what happens to a region that exhausts its retry budget:
-    "trap" re-admits it on the verified trap-fallback encoding,
-    "exclude" drops it with the fault recorded in the ledger.
+    for the pure-Python oracle) and "serial" otherwise.  A region that
+    exhausts its retry budget is re-admitted on the verified
+    trap-fallback encoding, or excluded (the fault recorded in the
+    ledger) when that fails.
 
     ``cache_dir`` may be a cache root (opened with
     :meth:`CacheLayout.open`: ``cache_shards`` picks the shard count of a
@@ -727,8 +726,6 @@ def rewrite_and_verify(
     telemetry = telemetry_current()
     if executor is None:
         executor = "process" if jobs > 1 else "serial"
-    if degrade not in ("trap", "exclude"):
-        raise ValueError(f"degrade must be 'trap' or 'exclude', not {degrade!r}")
     gate_config = {
         "seed": seed,
         "oracle_trials": oracle_trials,
@@ -836,15 +833,9 @@ def rewrite_and_verify(
             raise
         t2 = time.perf_counter()
 
-    faults = getattr(report, "faults", None)
-    if faults:
-        if degrade == "trap":
-            _degrade_quarantined(binary, result, report, gate_config,
-                                 result.liveness, telemetry)
-        else:
-            for fault in faults:
-                if fault.resolution == RESOLVED_QUARANTINED:
-                    fault.resolution = RESOLVED_EXCLUDED
+    if getattr(report, "faults", None):
+        _degrade_quarantined(binary, result, report, gate_config,
+                             result.liveness, telemetry)
 
     if journal is not None:
         journal.complete()

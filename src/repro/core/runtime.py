@@ -36,6 +36,7 @@ from repro.sim.faults import (
 )
 from repro.sim.machine import Kernel, Process
 from repro.telemetry import current as telemetry_current
+from repro.verify.records import PatchRecord, p1_registers, record_for
 
 #: Default bound on consecutive zero-progress recoveries before the
 #: runtime declares a fault loop and aborts with diagnostics.
@@ -95,23 +96,13 @@ class ChimeraRuntime:
         self.binary = rewritten
         self.fault_table: FaultTable = meta["fault_table"]
         self.trap_table: dict[int, int] = meta["trap_table"]
-        if self_heal:
-            # Healing mutates the tables per-task; never through the
-            # metadata objects other runtimes of this binary share.
-            table = FaultTable()
-            table.entries.update(self.fault_table.entries)
-            self.fault_table = table
-            self.trap_table = dict(self.trap_table)
         self.gp_value: int = meta["gp"]
-        #: Fig. 5 variant: P1 address -> the general register whose
-        #: return-address value identifies the fault (gp otherwise).
-        self.smile_regs: dict[int, int] = dict(meta.get("smile_regs", {}))
-        #: Original-address ranges the rewriter overwrote; a fault inside
-        #: one of these is ours by construction, so failing to recover it
-        #: is a structured kill, never a silent fallthrough.
-        self.patched_regions: list[tuple[int, int]] = [
-            (lo, hi) for lo, hi in meta.get("migration_unsafe", ())
-        ]
+        #: Each record's migration-unsafe span [start, hi): a fault inside
+        #: the span of a live patch is ours by construction (see
+        #: :meth:`_in_patched_region`).  Not derivable from the records:
+        #: a batched site's span runs past its window.
+        self.migration_unsafe: list[tuple[int, int]] = [
+            tuple(span) for span in meta.get("migration_unsafe", ())]
         self.stats = RuntimeStats()
         #: Recovery-depth guard: a recovered fault that faults again
         #: before retiring a single instruction is a loop (e.g. a
@@ -130,14 +121,26 @@ class ChimeraRuntime:
         #: Per-patch provenance (verified patching): golden bytes and
         #: table ownership for every patch, by original address.
         self.patch_records = tuple(meta.get("patch_records", ()))
+        #: Fig. 5 variant: P1 address -> the general register whose
+        #: return-address value identifies the fault (gp otherwise).
+        self._p1_registers = p1_registers(self.patch_records)
         #: Self-healing (opt-in): attribute unexpected owned faults to
         #: their patch, quarantine/roll back that one patch, and keep
         #: the task running instead of raising UnrecoverableFault.
         self.healer = None
         if self_heal:
-            from repro.verify.rollback import PatchHealer
+            self._start_healing(heal_policy)
 
-            self.healer = PatchHealer(self, policy=heal_policy)
+    def _start_healing(self, policy=None) -> None:
+        from repro.verify.rollback import PatchHealer
+
+        # Healing mutates the tables per-task; never through the
+        # metadata objects other runtimes of this binary share.
+        table = FaultTable()
+        table.entries.update(self.fault_table.entries)
+        self.fault_table = table
+        self.trap_table = dict(self.trap_table)
+        self.healer = PatchHealer(self, policy=policy)
 
     # -- installation -------------------------------------------------------
 
@@ -264,8 +267,6 @@ class ChimeraRuntime:
         came from a well-formed SMILE trampoline whose table entry is
         missing or wrong; "corrupted" means the encoding itself was
         damaged; "unknown" when no record covers the pc."""
-        from repro.verify.records import record_for
-
         rec = record_for(self.patch_records, fault_pc)
         if rec is None:
             return "unknown"
@@ -280,8 +281,6 @@ class ChimeraRuntime:
         rollback).  Redirect paths consult this before trusting a table
         entry: a corrupted trampoline that still happens to produce a
         plausible-looking fault must not be 'recovered' silently."""
-        from repro.verify.records import record_for
-
         rec = record_for(self.patch_records, addr)
         if rec is None:
             return True
@@ -291,9 +290,18 @@ class ChimeraRuntime:
         return live == rec.patched_bytes
 
     def _in_patched_region(self, pc: Optional[int]) -> bool:
+        """Is *pc* owned by a patch?  It is when it lies in the unsafe
+        span of a live (not rolled-back) patch or in a heal trap.  Asked
+        only on unhandled faults, so it is derived, never stored."""
         if pc is None:
             return False
-        return any(lo <= pc < hi for lo, hi in self.patched_regions)
+        journal = self.healer.journal if self.healer is not None else None
+        for lo, hi in self.migration_unsafe:
+            if lo <= pc < hi and not (journal and journal.is_rolled_back(lo)):
+                return True
+        return journal is not None and any(
+            trap.contains(pc) for entry in journal.entries.values()
+            if entry.rolled_back for trap in entry.heal_patches)
 
     def _fault_context(self, cpu: Cpu) -> dict:
         """Diagnostic snapshot attached to every UnrecoverableFault."""
@@ -329,7 +337,8 @@ class ChimeraRuntime:
             return True
         # Fig. 5 variant: the return address sits in a general register;
         # probe the armed trampolines' registers (rare path, tiny table).
-        for p1_addr, reg in self.smile_regs.items():
+        # A rolled-back trampoline's P1 key is retracted: the lookup misses.
+        for p1_addr, reg in self._p1_registers.items():
             if (cpu.get_reg(reg) - 4) & 0xFFFFFFFFFFFFFFFF == p1_addr:
                 if not self._patch_intact(process, p1_addr):
                     continue
@@ -421,17 +430,10 @@ class ChimeraRuntime:
         process.space.patch_code(text.addr, bytes(text.data))
         self._sync_section(process, new, ".chimera.text", Perm.RX)
         self._sync_section(process, new, ".chimera.vregs", Perm.RW)
-        self.fault_table.entries.update(new_meta["fault_table"].entries)
-        self.trap_table.update(new_meta["trap_table"])
-        for lo, hi in new_meta.get("migration_unsafe", ()):
-            if (lo, hi) not in self.patched_regions:
-                self.patched_regions.append((lo, hi))
-        # Adopt the re-scan's provenance: same-start records are
-        # superseded (the splice replaced their blocks and tables too).
-        merged = {rec.start: rec for rec in self.patch_records}
-        for rec in new_meta.get("patch_records", ()):
-            merged[rec.start] = rec
-        self.patch_records = tuple(sorted(merged.values(), key=lambda r: r.start))
+        self._merge(new_meta["fault_table"].entries.items(),
+                    new_meta["trap_table"].items(),
+                    new_meta.get("patch_records", ()),
+                    new_meta.get("migration_unsafe", ()))
         cpu.flush_decode_cache()
         if self.healer is not None:
             # The full-text splice just silently un-quarantined every
@@ -458,20 +460,41 @@ class ChimeraRuntime:
             process.space.segments.remove(seg)
         process.space.map(name, section.addr, bytearray(section.data), perm)
 
+    def _merge(self, fault_entries, trap_entries, records, unsafe) -> None:
+        """Merge a re-scan's (or a checkpoint's) tables, records and
+        unsafe spans.  The tables merge whole: they also hold entries no
+        record owns (upgrade epilogue exits).  Same-start records are
+        superseded (the splice replaced their blocks and tables too)."""
+        self.fault_table.entries.update(fault_entries)
+        self.trap_table.update(trap_entries)
+        merged = {rec.start: rec for rec in self.patch_records}
+        merged.update((rec.start, rec) for rec in records)
+        self.patch_records = tuple(sorted(merged.values(), key=lambda r: r.start))
+        self._p1_registers = p1_registers(self.patch_records)
+        for span in unsafe:
+            span = tuple(span)
+            if span not in self.migration_unsafe:
+                self.migration_unsafe.append(span)
+
     # -- checkpointing --------------------------------------------------------
 
     def export_state(self) -> dict:
         """Mutable runtime state for a checkpoint.
 
-        Lazy rewriting extends the fault/trap tables and patched regions
-        while the task runs; a task restored from a checkpoint must see
-        the extended view or re-fault on already-rewritten sites.
+        Lazy rewriting extends the tables, the records and the unsafe
+        spans while the task runs; a task restored from a checkpoint must
+        see the extended view or re-fault on already-rewritten sites.
+        Only what the splices added travels: the rest is in the binary.
         """
+        meta = self.binary.metadata["chimera"]
+        shipped = set(meta.get("patch_records", ()))
+        shipped_unsafe = {tuple(span) for span in meta.get("migration_unsafe", ())}
         state = {
             "fault_table": sorted(self.fault_table.entries.items()),
             "trap_table": sorted(self.trap_table.items()),
-            "smile_regs": sorted(self.smile_regs.items()),
-            "patched_regions": sorted(tuple(r) for r in self.patched_regions),
+            "patch_records": [rec.as_state() for rec in self.patch_records
+                              if rec not in shipped],
+            "migration_unsafe": sorted(set(self.migration_unsafe) - shipped_unsafe),
         }
         if self.healer is not None:
             state["heal_journal"] = self.healer.journal.export()
@@ -479,26 +502,14 @@ class ChimeraRuntime:
 
     def import_state(self, state: dict) -> None:
         """Merge checkpointed runtime state back in (see export_state)."""
-        self.fault_table.entries.update(dict(state.get("fault_table", ())))
-        self.trap_table.update(dict(state.get("trap_table", ())))
-        self.smile_regs.update(dict(state.get("smile_regs", ())))
-        for region in state.get("patched_regions", ()):
-            region = tuple(region)
-            if region not in self.patched_regions:
-                self.patched_regions.append(region)
+        self._merge(state.get("fault_table", ()), state.get("trap_table", ()),
+                    [PatchRecord.from_state(rec)
+                     for rec in state.get("patch_records", ())],
+                    state.get("migration_unsafe", ()))
         journal = state.get("heal_journal")
         if journal:
             if self.healer is None:
-                from repro.verify.rollback import PatchHealer
-
-                # Detach from the shared metadata tables before healing
-                # starts mutating them (same copy __init__ makes when
-                # constructed with self_heal=True).
-                table = FaultTable()
-                table.entries.update(self.fault_table.entries)
-                self.fault_table = table
-                self.trap_table = dict(self.trap_table)
-                self.healer = PatchHealer(self)
+                self._start_healing()
             self.healer.journal.import_state(journal)
             # A fresh runtime starts with every patch admitted; imported
             # quarantines must re-align the tables (region bytes and

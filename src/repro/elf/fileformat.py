@@ -57,10 +57,6 @@ def _chimera_meta_to_json(meta: dict) -> dict:
         out["stats"] = stats.as_dict()
     elif isinstance(stats, dict):
         out["stats"] = stats
-    if "patched_regions" in meta:
-        out["patched_regions"] = [list(r) for r in meta["patched_regions"]]
-    if "smile_regs" in meta:
-        out["smile_regs"] = {str(k): v for k, v in meta["smile_regs"].items()}
     records = meta.get("patch_records")
     if records is not None:
         out["patch_records"] = [list(r.as_state()) for r in records]
@@ -89,10 +85,6 @@ def _chimera_meta_from_json(data: dict) -> dict:
         "stats": stats,
         "migration_unsafe": [tuple(r) for r in data.get("migration_unsafe", [])],
     }
-    if "patched_regions" in data:
-        meta["patched_regions"] = [tuple(r) for r in data["patched_regions"]]
-    if "smile_regs" in data:
-        meta["smile_regs"] = {int(k): v for k, v in data["smile_regs"].items()}
     if "patch_records" in data:
         meta["patch_records"] = tuple(
             PatchRecord.from_state(state) for state in data["patch_records"])

@@ -1,13 +1,21 @@
-"""Per-patch provenance records: what the patcher did, byte for byte.
+"""Per-patch provenance records: the one ledger of patch state.
 
-A :class:`PatchRecord` is the unit both halves of verified patching
-operate on (DESIGN.md "Verified patching"):
+A :class:`PatchRecord` is what the patcher did to one region, byte for
+byte, and it *owns* that region's fault-table and trap-table entries
+(DESIGN.md "Verified patching").  Every change to those tables goes
+through :func:`install` and :func:`retract`, so the tables never drift
+from the records that explain them.  Everything else about a patch is
+derived from the records, never stored beside them:
 
-* the static admission gate re-checks every record's invariants against
-  the released bytes before a binary ships;
-* the runtime rollback journal uses the same record to undo exactly one
-  patch — restore ``original_bytes``, drop the record's fault-table
-  entries, and re-trap the extension sources the restore resurrects.
+* :func:`patched_regions` — the ``(start, end, kind)`` spans the chaos
+  sweeper attacks;
+* :func:`p1_registers` — the Fig. 5 P1 address -> jump register map the
+  runtime probes on a data-pointer SMILE fault.
+
+Both halves of verified patching operate on the records: the static
+admission gate re-checks each record's invariants against the released
+bytes, and the runtime rollback journal undoes exactly one patch (see
+:func:`repro.verify.degrade.retrap`).
 
 Records are frozen and serialize to primitive tuples (hex strings for
 byte fields) so they survive checkpoint digests and JSON report export
@@ -100,3 +108,32 @@ def record_for(records, addr) -> "PatchRecord | None":
         if rec.contains(addr):
             return rec
     return None
+
+
+def patched_regions(records) -> list[tuple[int, int, str]]:
+    """``(start, end, kind)`` of every overwritten span, in address order."""
+    return sorted((r.start, r.end, r.kind) for r in records)
+
+
+def p1_registers(records) -> dict[int, int]:
+    """Fig. 5 data-pointer trampolines: P1 address -> jump register."""
+    return {r.fault_entries[0][0]: r.smile_reg for r in records
+            if r.kind == "smile-dp" and r.fault_entries}
+
+
+def install(rec: PatchRecord, fault_table, trap_table: dict) -> None:
+    """Write exactly the fault- and trap-table entries *rec* owns."""
+    for key, target in rec.fault_entries:
+        fault_table.add(key, target)
+    trap_table.update(rec.trap_entries)
+
+
+def retract(rec: PatchRecord, fault_table, trap_table: dict,
+            keep=frozenset()) -> None:
+    """Drop exactly the entries *rec* owns; fault keys in *keep* stay
+    (a neighbour's exit was statically routed through them)."""
+    for key, _ in rec.fault_entries:
+        if key not in keep:
+            fault_table.entries.pop(key, None)
+    for key, _ in rec.trap_entries:
+        trap_table.pop(key, None)

@@ -8,11 +8,12 @@ quarantines exactly that patch instead of killing the task:
 1. **attribute** the fault to its :class:`~repro.verify.records
    .PatchRecord` (fault pc, then the last retired pc, then the SMILE
    return-address register);
-2. **roll back**: restore ``original_bytes`` over the window, drop the
-   record's fault-table entries, and re-trap every extension source the
-   restore resurrects with a freshly translated trap-fallback block
-   (mapped into a private ``.chimera.heal`` segment) — the quarantined
-   site keeps running at trap-trampoline speed;
+2. **roll back** through :func:`~repro.verify.degrade.retrap`: restore
+   ``original_bytes`` over the window, retract the record's table
+   entries, and re-trap every extension source the restore resurrects
+   with a freshly translated trap-fallback block (mapped into a private
+   ``.chimera.heal`` segment) — the quarantined site keeps running at
+   trap-trampoline speed;
 3. **journal** the quarantine with an instret-denominated backoff from
    :class:`~repro.resilience.policy.RetryPolicy`;
 4. **re-admit** opportunistically: once the backoff expires the golden
@@ -35,13 +36,13 @@ from typing import Optional
 from repro.core.smile import smile_window_violations
 from repro.core.translate import TranslationContext, TranslationError, Translator
 from repro.elf.binary import Perm
-from repro.isa.block import TrapBlock, trap_parcel
+from repro.isa.block import Block, TrapBlock
 from repro.isa.decoding import IllegalEncodingError, decode
 from repro.isa.extensions import PROFILES
-from repro.isa.instructions import Instruction
 from repro.isa.registers import Reg
 from repro.resilience.policy import RetryPolicy
-from repro.verify.records import PatchRecord, record_for
+from repro.verify.degrade import retrap
+from repro.verify.records import PatchRecord, install, record_for, retract
 
 #: Backoff policy for re-admission: instret-denominated waits, pinning
 #: after ``max_attempts`` quarantines of the same patch.
@@ -62,9 +63,9 @@ class HealEntry:
     readmissions: int = 0
     #: instret threshold before the next re-admission attempt.
     not_before: int = 0
-    #: (source addr, source length, heal block addr, block length,
-    #: ebreak addr) for every trap-fallback applied by the rollback.
-    heal_patches: list[tuple[int, int, int, int, int]] = field(default_factory=list)
+    #: The trap records the rollback installed (one per re-trapped
+    #: source, its block in a heal segment); empty while admitted.
+    heal_patches: list[PatchRecord] = field(default_factory=list)
 
     @property
     def rolled_back(self) -> bool:
@@ -77,7 +78,7 @@ class HealEntry:
             self.rollbacks,
             self.readmissions,
             self.not_before,
-            tuple(tuple(p) for p in self.heal_patches),
+            tuple(p.as_state() for p in self.heal_patches),
             self.record.as_state(),
         )
 
@@ -90,7 +91,7 @@ class HealEntry:
             rollbacks=rollbacks,
             readmissions=readmissions,
             not_before=not_before,
-            heal_patches=[tuple(p) for p in patches],
+            heal_patches=[PatchRecord.from_state(p) for p in patches],
         )
 
 
@@ -179,8 +180,7 @@ class PatchHealer:
             # A trap patch *is* the fallback encoding: repair the golden
             # ebreak and its trap-table entries in place.
             process.space.patch_code(rec.start, rec.patched_bytes)
-            for key, target in rec.trap_entries:
-                rt.trap_table[key] = target
+            install(rec, rt.fault_table, rt.trap_table)
         else:
             try:
                 self._rollback_smile(process, rec, entry)
@@ -195,8 +195,8 @@ class PatchHealer:
         # Only the restored window and the re-trapped sources changed;
         # every other cached decode/superblock stays valid.
         cpu.invalidate_code(rec.start, rec.end - rec.start)
-        for saddr, slen, _, _, _ in entry.heal_patches:
-            cpu.invalidate_code(saddr, slen)
+        for trap in entry.heal_patches:
+            cpu.invalidate_code(trap.start, trap.end - trap.start)
         cpu.cycles += cpu.cost.fault_handling_cost * 4  # rollback is heavy
         cpu.bump("patch_rollbacks")
         rt.stats.patch_rollbacks += 1
@@ -204,42 +204,18 @@ class PatchHealer:
         return True
 
     def _rollback_smile(self, process, rec: PatchRecord, entry: HealEntry) -> None:
-        """Restore the window, drop table entries, re-trap the sources."""
+        """Restore the window and re-trap its sources in the live process."""
         rt = self.runtime
-        # Build every heal block *before* mutating any state, so a
-        # translation failure leaves the patch untouched.
-        heal_blocks = []
-        for saddr, shex in rec.sources:
-            src = bytes.fromhex(shex)
-            instr = decode(src, 0, addr=saddr)
-            if instr.extension in self._target.extensions:
-                continue  # runs natively on the target core: no trap needed
-            heal_blocks.append((saddr, instr, self._build_heal_block(process, instr)))
+        entry.heal_patches = list(retrap(
+            rec, self._translator, self._target,
+            write=process.space.patch_code,
+            emit=lambda body: self._emit_heal_block(process, body),
+            fault_table=rt.fault_table, trap_table=rt.trap_table))
 
-        process.space.patch_code(rec.start, rec.original_bytes)
-        for key, _ in rec.fault_entries:
-            rt.fault_table.entries.pop(key, None)
-            rt.smile_regs.pop(key, None)
-        entry.heal_patches = []
-        for saddr, instr, block in heal_blocks:
-            rt.trap_table.update(block.trap_entries(saddr, saddr + instr.length))
-            process.space.patch_code(saddr, trap_parcel(instr.length))
-            entry.heal_patches.append(
-                (saddr, instr.length, block.addr, len(block.code), block.ebreak_addr))
-        # The quarantined span is no longer a patched region; the trap
-        # sites the rollback introduced are.
-        rt.patched_regions = [
-            (lo, hi) for lo, hi in rt.patched_regions
-            if not (rec.start <= lo < rec.end)
-        ]
-        for saddr, slen, _, _, _ in entry.heal_patches:
-            rt.patched_regions.append((saddr, saddr + slen))
-
-    def _build_heal_block(self, process, instr: Instruction) -> TrapBlock:
-        """Translate one source into an ebreak-terminated fallback block
-        mapped into a fresh RX heal segment."""
-        block = TrapBlock.place(self._translator.translate(instr),
-                                lambda size: self._place_heal(process, size))
+    def _emit_heal_block(self, process, body: Block) -> TrapBlock:
+        """Place one ebreak-terminated fallback block in a fresh RX heal
+        segment."""
+        block = TrapBlock.place(body, lambda size: self._place_heal(process, size))
         process.space.map(
             f"{_HEAL_SEGMENT_PREFIX}.{block.addr:x}",
             block.addr, bytearray(block.code), Perm.RX)
@@ -296,9 +272,8 @@ class PatchHealer:
                 self.runtime._record("patch_pinned")
                 continue
             # Capture the spans before _reapply clears heal_patches.
-            spans = [(rec.start, rec.end - rec.start)]
-            spans += [(saddr, slen)
-                      for saddr, slen, _, _, _ in entry.heal_patches]
+            spans = [(r.start, r.end - r.start)
+                     for r in (rec, *entry.heal_patches)]
             self._reapply(process, rec, entry)
             entry.state = "admitted"
             entry.readmissions += 1
@@ -312,28 +287,20 @@ class PatchHealer:
     def _pc_inside(self, pc: int, entry: HealEntry) -> bool:
         if entry.record.contains(pc):
             return True
+        # A heal block ends with its 4-byte ebreak, the last trap key.
         return any(
-            block <= pc < block + blen or saddr <= pc < saddr + slen
-            for saddr, slen, block, blen, _ in entry.heal_patches
+            trap.contains(pc)
+            or trap.block_addr <= pc < trap.trap_entries[-1][0] + 4
+            for trap in entry.heal_patches
         )
 
     def _reapply(self, process, rec: PatchRecord, entry: HealEntry) -> None:
         rt = self.runtime
-        for saddr, slen, block, blen, ebreak_addr in entry.heal_patches:
-            rt.trap_table.pop(saddr, None)
-            rt.trap_table.pop(ebreak_addr, None)
-            process.space.patch_code(saddr, rec.source_bytes(saddr))
-            rt.patched_regions = [
-                (lo, hi) for lo, hi in rt.patched_regions if lo != saddr
-            ]
+        for trap in entry.heal_patches:
+            retract(trap, rt.fault_table, rt.trap_table)
+            process.space.patch_code(trap.start, trap.original_bytes)
         process.space.patch_code(rec.start, rec.patched_bytes)
-        for key, target in rec.fault_entries:
-            rt.fault_table.add(key, target)
-        if rec.kind == "smile-dp" and rec.fault_entries:
-            rt.smile_regs[rec.fault_entries[0][0]] = rec.smile_reg
-        span = (rec.start, rec.end)
-        if span not in rt.patched_regions:
-            rt.patched_regions.append(span)
+        install(rec, rt.fault_table, rt.trap_table)
         entry.heal_patches = []
 
     # -- splice / checkpoint interplay ---------------------------------------
@@ -346,36 +313,23 @@ class PatchHealer:
         for entry in self.journal.quarantined():
             rec = entry.record
             process.space.patch_code(rec.start, rec.original_bytes)
-            for key, _ in rec.fault_entries:
-                rt.fault_table.entries.pop(key, None)
-                rt.smile_regs.pop(key, None)
+            retract(rec, rt.fault_table, rt.trap_table)
             cpu.invalidate_code(rec.start, rec.end - rec.start)
-            for saddr, slen, block, blen, ebreak_addr in entry.heal_patches:
-                process.space.patch_code(saddr, trap_parcel(slen))
-                rt.trap_table[saddr] = block
-                rt.trap_table[ebreak_addr] = saddr + slen
-                cpu.invalidate_code(saddr, slen)
+            for trap in entry.heal_patches:
+                process.space.patch_code(trap.start, trap.patched_bytes)
+                install(trap, rt.fault_table, rt.trap_table)
+                cpu.invalidate_code(trap.start, trap.end - trap.start)
 
     def apply_imported_state(self) -> None:
         """Fix the runtime's tables after a journal import: a freshly
         constructed runtime starts with every patch admitted, but the
         imported journal may say some are quarantined.  The region bytes
         and heal segments arrive via the checkpoint's segment images;
-        only the tables and region ledger need re-aligning here."""
+        only the tables need re-aligning here."""
         rt = self.runtime
         for entry in self.journal.entries.values():
             if not entry.rolled_back:
                 continue
-            rec = entry.record
-            for key, _ in rec.fault_entries:
-                rt.fault_table.entries.pop(key, None)
-                rt.smile_regs.pop(key, None)
-            rt.patched_regions = [
-                (lo, hi) for lo, hi in rt.patched_regions
-                if not (rec.start <= lo < rec.end)
-            ]
-            for saddr, slen, block, blen, ebreak_addr in entry.heal_patches:
-                rt.trap_table[saddr] = block
-                rt.trap_table[ebreak_addr] = saddr + slen
-                if (saddr, saddr + slen) not in rt.patched_regions:
-                    rt.patched_regions.append((saddr, saddr + slen))
+            retract(entry.record, rt.fault_table, rt.trap_table)
+            for trap in entry.heal_patches:
+                install(trap, rt.fault_table, rt.trap_table)

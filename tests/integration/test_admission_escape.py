@@ -19,6 +19,7 @@ from repro.chaos.outcomes import (
 from repro.chaos.sweeper import TrampolineAttackSweeper
 from repro.core.rewriter import ChimeraRewriter
 from repro.isa.extensions import RV64GC
+from repro.verify.records import patched_regions
 
 
 def test_admission_escape_is_a_hard_failure():
@@ -48,7 +49,7 @@ def test_hard_failure_in_admitted_region_escalates(monkeypatch):
     assert the sweeper re-labels it as an admission escape."""
     original = build_erroneous_workload()
     rewritten = ChimeraRewriter().rewrite(original, RV64GC).binary
-    regions = rewritten.metadata["chimera"]["patched_regions"]
+    regions = patched_regions(rewritten.metadata["chimera"]["patch_records"])
     start = regions[0][0]
     sweeper = TrampolineAttackSweeper(
         original, rewritten, admitted=frozenset({start}))
@@ -77,7 +78,7 @@ def test_hard_failure_in_rejected_region_does_not_escalate(monkeypatch):
     silent-divergence: escapes are specifically the verifier's lie."""
     original = build_erroneous_workload()
     rewritten = ChimeraRewriter().rewrite(original, RV64GC).binary
-    regions = rewritten.metadata["chimera"]["patched_regions"]
+    regions = patched_regions(rewritten.metadata["chimera"]["patch_records"])
     start = regions[0][0]
     sweeper = TrampolineAttackSweeper(original, rewritten, admitted=frozenset())
 

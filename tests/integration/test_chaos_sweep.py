@@ -1,12 +1,13 @@
-"""Chaos sweep: every patched byte of every workload, both patching modes.
+"""Chaos sweep: every patched byte of every workload, every patching mode.
 
 The acceptance bar for the chaos harness: forcing an indirect jump to
 every byte offset of every patched region — trampoline heads, the jalr
 (P1), the pinned mid-parcels (P2/P3), padding, trap sites — must never
 produce silent divergence (unintended instructions executing past the
 grace window) or a raw Python crash.  Swept for all kernel workloads
-and a pair of synthetic SPEC profiles, under SMILE patching and under
-the all-trap fallback configuration.
+and a pair of synthetic SPEC profiles, under SMILE patching, under
+the all-trap fallback configuration and under the Fig. 5 data-pointer
+SMILE variant.
 """
 
 import pytest

@@ -21,6 +21,7 @@ from repro.resilience.checkpoint import Checkpoint
 from repro.sim.faults import CoreFault
 from repro.sim.machine import Core, Kernel
 from repro.telemetry import Telemetry, use
+from repro.verify.records import patched_regions
 
 EXPECTED = (2, 40, 80)  # (out, buf[0], buf[1]) after a correct run
 
@@ -28,7 +29,7 @@ EXPECTED = (2, 40, 80)  # (out, buf[0], buf[1]) after a correct run
 def build_rewrite():
     original = build_erroneous_workload()
     rewritten = ChimeraRewriter().rewrite(original, RV64GC).binary
-    regions = rewritten.metadata["chimera"]["patched_regions"]
+    regions = patched_regions(rewritten.metadata["chimera"]["patch_records"])
     # Only the lowest-addressed SMILE window executes on the normal path.
     smile = sorted(r for r in regions if r[2] in ("smile", "smile-dp"))[:1]
     return original, rewritten, smile
@@ -82,7 +83,7 @@ def test_rollback_restores_original_window_bytes():
     live = bytes(process.space.read(rec.start, len(rec.original_bytes)))
     # The window holds the original bytes again, except where the heal
     # trap-fallback re-trapped an extension source.
-    trapped = {s for s, l, *_ in entry.heal_patches for s in range(s, s + l)}
+    trapped = {a for t in entry.heal_patches for a in range(t.start, t.end)}
     for i, (got, want) in enumerate(zip(live, rec.original_bytes)):
         if rec.start + i not in trapped:
             assert got == want, f"byte {rec.start + i:#x} not restored"

@@ -16,6 +16,7 @@ from repro.elf.loader import make_process
 from repro.isa.extensions import RV64GC, RV64GCV
 from repro.isa.registers import Reg
 from repro.sim.machine import Core, Kernel
+from repro.verify.records import p1_registers
 
 
 def pair_binary():
@@ -52,8 +53,9 @@ class TestDataPointerSmile:
                               enable_upgrades=False)
         out = patcher.patch()
         assert patcher.stats.trampolines >= 1
-        assert patcher.smile_regs, "no data-pointer trampoline recorded"
-        assert all(reg != int(Reg.GP) for reg in patcher.smile_regs.values())
+        p1_regs = p1_registers(patcher.patch_records)
+        assert p1_regs, "no data-pointer trampoline recorded"
+        assert all(reg != int(Reg.GP) for reg in p1_regs.values())
 
     def test_rewritten_binary_correct_on_base_core(self):
         binary = pair_binary()
@@ -94,7 +96,7 @@ class TestDataPointerSmile:
         runtime = ChimeraRuntime(result.binary)
         kernel = Kernel()
         runtime.install(kernel)
-        (p1_addr, reg), = runtime.smile_regs.items()
+        (p1_addr, reg), = p1_registers(runtime.patch_records).items()
         proc = make_process(result.binary)
         cpu = kernel.make_cpu(proc, Core(0, RV64GC))
         # Simulate the original program state at P1: rX holds the data

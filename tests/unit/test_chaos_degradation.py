@@ -79,7 +79,7 @@ class TestPatchedRegionOwnership:
         """An exec fault at a garbage address whose *origin* (the last
         retired instruction) was patched is ours: structured kill."""
         binary, runtime, kernel, proc, cpu = setup()
-        lo, _hi = runtime.patched_regions[0]
+        lo, _hi = runtime.migration_unsafe[0]
         cpu.last_pc = lo
         cpu.set_reg(Reg.GP, 0)  # clobbered: lookup cannot succeed
         fault = SegmentationFault(binary.global_pointer + 0x100, "exec")

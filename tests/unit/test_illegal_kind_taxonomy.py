@@ -24,6 +24,7 @@ from repro.isa.extensions import RV64GC, RV64GCV
 from repro.sim.cpu import Cpu
 from repro.sim.faults import IllegalInstructionFault, UnrecoverableFault
 from repro.sim.machine import Core, Kernel
+from repro.verify.records import patched_regions
 
 
 def scalar_binary():
@@ -76,7 +77,7 @@ _start:
     proc = make_process(result.binary)
     cpu = kernel.make_cpu(proc, Core(0, RV64GC))
     regions = [
-        tuple(r) for r in result.binary.metadata["chimera"]["patched_regions"]
+        r for r in patched_regions(result.binary.metadata["chimera"]["patch_records"])
         if r[2] == "smile"
     ]
     assert regions, "vector workload produced no SMILE trampolines"

@@ -15,6 +15,7 @@ from repro.elf.loader import make_process
 from repro.isa.extensions import RV64GC
 from repro.sim.machine import Core, Kernel
 from repro.verify import HealEntry, PatchRecord, RollbackJournal
+from repro.verify.records import patched_regions
 
 
 def sample_record():
@@ -29,12 +30,23 @@ def sample_record():
     )
 
 
+def sample_heal_trap():
+    """The trap record a rollback of :func:`sample_record` installs."""
+    return PatchRecord(
+        start=0x10030, end=0x10034, kind="trap",
+        original_bytes=b"\x01\x02\x03\x04",
+        patched_bytes=b"\x73\x00\x10\x00",
+        block_addr=0x500000, resume=0x10034, smile_reg=3,
+        trap_entries=((0x10030, 0x500000), (0x500008, 0x10034)),
+    )
+
+
 def healed_run():
     """Run the bitrot scenario to completion; returns everything the
     journal tests need (runtime with one quarantined patch, etc.)."""
     original = build_erroneous_workload()
     rewritten = ChimeraRewriter().rewrite(original, RV64GC).binary
-    regions = rewritten.metadata["chimera"]["patched_regions"]
+    regions = patched_regions(rewritten.metadata["chimera"]["patch_records"])
     smile = sorted(r for r in regions if r[2] in ("smile", "smile-dp"))[:1]
     kernel = Kernel()
     runtime = ChimeraRuntime(rewritten, self_heal=True)
@@ -51,7 +63,7 @@ def test_heal_entry_state_roundtrip():
     entry = HealEntry(
         record=sample_record(), state="quarantined", rollbacks=2,
         readmissions=1, not_before=12_345,
-        heal_patches=[(0x10030, 4, 0x500000, 12, 0x500008)],
+        heal_patches=[sample_heal_trap()],
     )
     clone = HealEntry.from_state(entry.as_state())
     assert clone.record == entry.record
@@ -116,13 +128,12 @@ def test_quarantine_roundtrips_through_runtime_state():
     rec = entry.record
     for key, _ in rec.fault_entries:
         assert fresh.fault_table.lookup(key) is None
-    for saddr, slen, block, _blen, ebreak in entry.heal_patches:
-        assert fresh.trap_table[saddr] == block
-        assert ebreak in fresh.trap_table
-        assert (saddr, saddr + slen) in fresh.patched_regions
+    for trap in entry.heal_patches:
+        assert fresh.trap_table[trap.start] == trap.block_addr
+        assert trap.trap_entries[-1][0] in fresh.trap_table  # the ebreak
+        assert fresh._in_patched_region(trap.start)
     # The full window span is retired; only the heal trap sites remain
-    # as patched regions inside it.
-    heal_spans = {(s, s + l) for s, l, *_ in entry.heal_patches}
-    assert all(span in heal_spans
-               for span in fresh.patched_regions
-               if rec.start <= span[0] < rec.end)
+    # patched inside it.
+    heal_pcs = {a for t in entry.heal_patches for a in range(t.start, t.end)}
+    for pc in range(rec.start, rec.end):
+        assert fresh._in_patched_region(pc) == (pc in heal_pcs), hex(pc)
