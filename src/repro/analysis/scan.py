@@ -44,10 +44,6 @@ class ScanResult:
         """The recovered instruction at *addr* (KeyError if unrecovered)."""
         return self.instructions[addr]
 
-    def next_addr(self, addr: int) -> int:
-        """Address of the instruction following *addr* in the layout."""
-        return addr + self.instructions[addr].length
-
     def coverage(self, text_size: int) -> float:
         """Fraction of text bytes proven to be code."""
         covered = sum(i.length for i in self.instructions.values())

@@ -102,9 +102,3 @@ class ChimeraRewriter:
             rewritten = patcher.patch()
         return RewriteResult(rewritten, target_profile, patcher.stats,
                              liveness=getattr(patcher, "liveness", None))
-
-    def rewrite_all(
-        self, binary: Binary, profiles: list[IsaProfile]
-    ) -> dict[str, RewriteResult]:
-        """One rewritten binary per profile (the MMView image set)."""
-        return {p.name: self.rewrite(binary, p) for p in profiles}

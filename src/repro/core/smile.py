@@ -29,6 +29,7 @@ trampoline to an arbitrary address.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -185,8 +186,6 @@ def next_achievable(tramp_addr: int, cursor: int) -> int:
     P3 pin; low4/hi are the free auipc immediate bits).  Only even J
     values are considered so targets stay parcel-aligned.
     """
-    from bisect import bisect_left
-
     d = max(0, cursor - tramp_addr)
     hi, rem = divmod(d, _PERIOD)
     idx = bisect_left(_PERIOD_OFFSETS, rem)
@@ -203,75 +202,100 @@ class SmileTextAllocator:
     """First-fit allocator for ``.chimera.text`` target blocks.
 
     The compressed-mode SMILE constraints make each trampoline's
-    reachable-address set sparse (~32 starts per 2 MB), so a monotonic
-    cursor would waste tens of KB per block.  Because trampolines sit at
-    diverse addresses, their lattices interleave: a free-list first-fit
-    keeps the section dense.  Unconstrained placements (trap-fallback
-    blocks, non-compressed binaries) fill gaps greedily.
+    reachable-address set sparse (128 targets in 32 windows per 2 MB),
+    so a monotonic cursor would waste tens of KB per block.  Because
+    trampolines sit at diverse addresses, their lattices interleave: a
+    free-list first-fit keeps the section dense.  Unconstrained
+    placements (trap-fallback blocks, non-compressed binaries) fill gaps
+    greedily.
+
+    The free gaps are indexed twice: an insertion-ordered ``{start:
+    end}`` dict, whose order is the first-fit order of unconstrained
+    placements, and a sorted list of starts, which :meth:`place` bisects
+    while it walks a trampoline's lattice and the gaps together.
     """
 
     def __init__(self, base: int, *, compressed: bool):
         self.base = base
         self.compressed = compressed
         self.cursor = base
-        #: [start, end) gaps left behind by constrained placements.
-        self.free: list[tuple[int, int]] = []
+        #: [start, end) gaps below the cursor, in the order they were made.
+        self._gaps: dict[int, int] = {}
+        #: The keys of ``_gaps``, sorted.
+        self._starts: list[int] = []
+        #: Bytes of gaps too small to keep (they count as padding).
+        self._dropped = 0
+
+    @property
+    def free(self) -> tuple[tuple[int, int], ...]:
+        """The free ``(start, end)`` gaps, in the order they were made."""
+        return tuple(self._gaps.items())
 
     def place(self, tramp_addr: int, size: int) -> int:
-        """Reserve *size* bytes reachable from a SMILE at *tramp_addr*."""
+        """Reserve *size* bytes reachable from a SMILE at *tramp_addr*.
+
+        Takes the lowest reachable target that fits in a free gap, else
+        the lowest reachable target at or past the cursor.  Gaps are
+        disjoint and a gap's lowest reachable target is >= its start,
+        so the first gap in address order that fits holds that target.
+        """
         if not self.compressed:
             return self._place_anywhere(size)
-        best: Optional[tuple[int, int]] = None  # (addr, gap index)
-        for idx, (gs, ge) in enumerate(self.free):
-            t = next_achievable(tramp_addr, gs)
-            if t + size <= ge and (best is None or t < best[0]):
-                best = (t, idx)
         tail = next_achievable(tramp_addr, self.cursor)
-        if best is not None and best[0] <= tail:
-            addr, idx = best
-            gs, ge = self.free.pop(idx)
-            self._add_gap(gs, addr)
-            self._add_gap(addr + size, ge)
-            return addr
+        starts, gaps = self._starts, self._gaps
+        i = 0
+        while i < len(starts):
+            t = next_achievable(tramp_addr, starts[i])
+            # No target lies in [starts[i], t): skip to the gap holding t,
+            # or to the last gap starting below it.
+            i = bisect_right(starts, t, i) - 1
+            if t + size <= gaps[starts[i]]:
+                self._take(i, t, size)
+                return t
+            i += 1
         self._add_gap(self.cursor, tail)
         self.cursor = tail + size
         return tail
-
-    def _add_gap(self, start: int, end: int) -> None:
-        # Gaps below 16 bytes can't hold a useful block; dropping them
-        # bounds the free list (their bytes count as padding).
-        if end - start >= 16:
-            self.free.append((start, end))
-        elif end > start:
-            self._dropped = getattr(self, "_dropped", 0) + (end - start)
 
     def place_unconstrained(self, size: int) -> int:
         """Reserve *size* bytes anywhere (trap-fallback blocks)."""
         return self._place_anywhere(size)
 
     def _place_anywhere(self, size: int, align: int = 2) -> int:
-        for idx, (gs, ge) in enumerate(self.free):
+        for gs, ge in self._gaps.items():
             addr = (gs + align - 1) & ~(align - 1)
             if addr + size <= ge:
-                self.free.pop(idx)
-                self._add_gap(gs, addr)
-                self._add_gap(addr + size, ge)
+                self._take(bisect_left(self._starts, gs), addr, size)
                 return addr
         addr = (self.cursor + align - 1) & ~(align - 1)
         if addr > self.cursor:
-            self.free.append((self.cursor, addr))
+            self._insert(self.cursor, addr)
         self.cursor = addr + size
         return addr
 
-    @property
-    def used_span(self) -> int:
-        """Total section span including internal gaps."""
-        return self.cursor - self.base
+    def _take(self, i: int, addr: int, size: int) -> None:
+        """Carve [addr, addr + size) out of the gap at ``_starts[i]``."""
+        gs = self._starts.pop(i)
+        ge = self._gaps.pop(gs)
+        self._add_gap(gs, addr)
+        self._add_gap(addr + size, ge)
+
+    def _add_gap(self, start: int, end: int) -> None:
+        # Gaps below 16 bytes can't hold a useful block; dropping them
+        # bounds the free list (their bytes count as padding).
+        if end - start >= 16:
+            self._insert(start, end)
+        elif end > start:
+            self._dropped += end - start
+
+    def _insert(self, start: int, end: int) -> None:
+        self._gaps[start] = end
+        insort(self._starts, start)
 
     @property
     def gap_bytes(self) -> int:
         """Bytes lost to placement constraints (still-free gaps)."""
-        return sum(ge - gs for gs, ge in self.free) + getattr(self, "_dropped", 0)
+        return sum(ge - gs for gs, ge in self._gaps.items()) + self._dropped
 
 
 def _verify(tramp: SmileTrampoline, *, compressed: bool) -> None:

@@ -481,14 +481,3 @@ def encode(instr: Instruction) -> bytes:
     if word & 0b11 != 0b11:
         raise EncodingError(f"32-bit encoding of {instr.mnemonic} lacks 0b11 low bits")
     return p32(word)
-
-
-def encode_word(instr: Instruction) -> int:
-    """Encode *instr* and return the raw integer encoding."""
-    data = encode(instr)
-    return int.from_bytes(data, "little")
-
-
-def encode_stream(instrs: list[Instruction]) -> bytes:
-    """Encode a list of instructions to a contiguous byte string."""
-    return b"".join(encode(i) for i in instrs)

@@ -45,10 +45,6 @@ class IsaProfile:
         """True if this profile implements *ext*."""
         return ext in self.extensions
 
-    def supports_all(self, exts: frozenset[Extension] | set[Extension]) -> bool:
-        """True if this profile implements every extension in *exts*."""
-        return exts <= self.extensions
-
     def missing(self, other: "IsaProfile") -> frozenset[Extension]:
         """Extensions *other* has that this profile lacks."""
         return other.extensions - self.extensions

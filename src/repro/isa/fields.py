@@ -39,11 +39,6 @@ def to_unsigned64(value: int) -> int:
     return value & 0xFFFFFFFFFFFFFFFF
 
 
-def to_signed32(value: int) -> int:
-    """Wrap *value* into signed 32-bit two's-complement range."""
-    return sign_extend(value, 32)
-
-
 def fits_signed(value: int, width: int) -> bool:
     """True if *value* fits in a signed immediate of *width* bits."""
     return -(1 << (width - 1)) <= value < (1 << (width - 1))

@@ -53,10 +53,6 @@ class Instruction:
 
     # -- classification ------------------------------------------------
 
-    def is_compressed(self) -> bool:
-        """True for 2-byte RVC instructions."""
-        return self.length == 2
-
     def is_jump(self) -> bool:
         """True for unconditional control transfers."""
         return self.mnemonic in JUMP_MNEMONICS

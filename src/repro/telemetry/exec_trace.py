@@ -57,10 +57,6 @@ class HotspotProfile:
         """(address, count) pairs, hottest first."""
         return self.counts.most_common(n)
 
-    def count_in_range(self, lo: int, hi: int) -> int:
-        """Total executions whose address lies in [lo, hi)."""
-        return sum(c for a, c in self.counts.items() if lo <= a < hi)
-
 
 class RegionProfile:
     """Cycle/instruction attribution to named address regions.
