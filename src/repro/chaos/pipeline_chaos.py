@@ -48,9 +48,10 @@ class InjectedPipelineKill(BaseException):
 
 @dataclass
 class PipelineFailureInjector:
-    """Scripted failures for the verification pipeline.  Picklable: the
-    process executor ships it to every worker, so ``before_region``
-    fires inside the worker that would verify the region.
+    """Scripted failures for the verification pipeline.  The process
+    executor's forked workers inherit it with the gate, so
+    ``before_region`` fires inside the worker that would verify the
+    region.
 
     ``kill``/``hang``/``error`` map a region *index* to the number of
     attempts to affect: ``{3: 1}`` kills attempt 1 of region 3 (the

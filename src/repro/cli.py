@@ -62,8 +62,10 @@ def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
                              "(1 = serial; results are identical either way)")
     parser.add_argument("--executor", choices=EXECUTORS, default=None,
                         help="verification executor (default: process when "
-                             "--jobs > 1, else serial); process isolates "
-                             "worker crashes and hangs from the release")
+                             "at least two regions can verify at once, "
+                             "i.e. min(--jobs, regions) > 1, else serial); "
+                             "process isolates worker crashes and hangs "
+                             "from the release")
     parser.add_argument("--region-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock watchdog per region under "

@@ -3,10 +3,13 @@
 ``rewrite_and_verify`` is the one-stop producer of a *released* binary:
 it translates (``ChimeraRewriter``), then admits every patched region
 through the static gate and seeded differential oracle
-(:mod:`repro.verify.admission`).  With ``jobs > 1`` the per-region work
+(:mod:`repro.verify.admission`).  When at least two regions can run at
+once (``min(jobs, regions left to verify) > 1``) the per-region work
 fans out across a **fault-isolated process pool** by default
-(:mod:`repro.core.procpool`): a worker that crashes or hangs is killed,
-attributed to its exact region as a structured
+(:mod:`repro.core.procpool`); otherwise it verifies in-line, because a
+pool of one worker has no parallelism to pay for its fork.  In the
+pool, a worker that crashes or hangs is killed, attributed to its
+exact region as a structured
 :class:`~repro.resilience.failures.RegionFault`, and the region is
 re-dispatched under :data:`~repro.resilience.policy.PIPELINE_RETRY_POLICY`.
 A region that exhausts its retries is quarantined and **degraded** —
@@ -694,10 +697,12 @@ def rewrite_and_verify(
 ) -> PipelineResult:
     """Translate *binary* for *target_profile* and admission-verify it.
 
-    ``executor`` is "serial" or "process"; None auto-selects
-    "process" when ``jobs > 1`` (fault isolation plus real parallelism
-    for the pure-Python oracle) and "serial" otherwise.  A region that
-    exhausts its retry budget is re-admitted on the verified
+    ``executor`` is "serial" or "process"; None decides after the
+    rewrite: "process" (fault isolation plus real parallelism for the
+    pure-Python oracle) when ``min(jobs, regions left to verify) > 1``,
+    and "serial" otherwise — a pool of one worker has no parallelism to
+    pay for its fork.  An explicit ``executor`` is always honoured.  A
+    region that exhausts its retry budget is re-admitted on the verified
     trap-fallback encoding, or excluded (the fault recorded in the
     ledger) when that fails.
 
@@ -724,8 +729,6 @@ def rewrite_and_verify(
     rewriter = rewriter or ChimeraRewriter()
     seed = resolve_seed(seed)
     telemetry = telemetry_current()
-    if executor is None:
-        executor = "process" if jobs > 1 else "serial"
     gate_config = {
         "seed": seed,
         "oracle_trials": oracle_trials,
@@ -760,21 +763,20 @@ def rewrite_and_verify(
     from repro import verify as verify_mod
 
     with telemetry.span("pipeline.rewrite_verify", binary=binary.name,
-                        target=target_profile.name, jobs=jobs,
-                        executor=executor):
+                        target=target_profile.name, jobs=jobs):
         if on_progress is not None:
             on_progress("rewrite", binary=binary.name)
         t0 = time.perf_counter()
         result = rewriter.rewrite(binary, target_profile)
         t1 = time.perf_counter()
 
+        total_regions = len((result.binary.metadata.get("chimera") or {})
+                            .get("patch_records") or ())
         journal = None
         precomputed = None
         resumed = 0
         if cache_path is not None and key is not None:
-            records = (result.binary.metadata.get("chimera") or {}).get(
-                "patch_records") or ()
-            journal = RunJournal(cache_path, key, regions=len(records),
+            journal = RunJournal(cache_path, key, regions=total_regions,
                                  seed=seed)
             if resume:
                 loaded = journal.load()
@@ -791,9 +793,9 @@ def rewrite_and_verify(
             journal.start(resumed)
 
         settled = resumed
-
-        total_regions = len((result.binary.metadata.get("chimera") or {})
-                            .get("patch_records") or ())
+        if executor is None:
+            executor = ("process" if min(jobs, total_regions - resumed) > 1
+                        else "serial")
 
         def on_region(idx: int, verdict: RegionVerdict,
                       oracle_ran: bool) -> None:

@@ -20,23 +20,21 @@ attempt budget); a region that exhausts its budget is *quarantined* and
 reported to the caller, which degrades it (trap fallback or exclusion)
 instead of aborting the release.
 
-Determinism: each worker builds an identical
-:class:`~repro.verify.admission.AdmissionGate` from the pickled payload
-— the resolved seed rides in the payload *and* in every work item, so a
-mid-run ``REPRO_FUZZ_SEED`` change can never make process workers drift
-from a serial run.  Verdicts depend only on ``(payload, region index)``,
-so the results are byte-identical no matter which worker or attempt
-produced them.
-
-This module must not import :mod:`repro.verify.admission` at module
-level (the gate imports this pool); workers import it lazily.
+Determinism: workers are forked, so each one inherits the parent's
+already-built :class:`~repro.verify.admission.AdmissionGate` — nothing
+is pickled or rebuilt, and a worker is ready the moment it starts.  The
+gate resolved its seed once before fan-out, and every work item carries
+that seed too, so a mid-run ``REPRO_FUZZ_SEED`` change can never make
+process workers drift from a serial run.  Verdicts depend only on
+``(gate, region index)``, so the results are byte-identical no matter
+which worker or attempt produced them.  A host without the ``fork``
+start method raises :class:`PoolBrokenError`, which the gate turns into
+its serial fallback.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pickle
 import threading
 import time
 from multiprocessing import connection as mp_connection
@@ -147,48 +145,13 @@ class RegionOutcome:
         return self.verdict is None
 
 
-@dataclass
-class PoolPayload:
-    """Everything a worker needs to rebuild the gate, pickled once.
-
-    ``gate_config`` carries the *resolved* seed (an int, never None):
-    workers must not consult ``REPRO_FUZZ_SEED`` — the parent resolved
-    it exactly once before fan-out.
-    """
-
-    original: object
-    rewritten: object
-    gate_config: dict
-    liveness: object = None
-    injector: object = None
-
-
-def _worker_main(worker_id: int, inbox, outbox, payload_bytes: bytes) -> None:
-    """Worker entry: build the gate once, then verify region by region.
+def _worker_main(worker_id: int, inbox, outbox, gate) -> None:
+    """Worker entry: verify region by region on the inherited gate.
 
     ``outbox`` is this worker's *private* pipe end — results never cross
     a lock shared with other workers, so an OOM-style kill mid-message
     can corrupt only this worker's own channel (see ``_drain``).
     """
-    try:
-        payload: PoolPayload = pickle.loads(payload_bytes)
-        from repro.verify.admission import AdmissionGate
-
-        cfg = payload.gate_config
-        gate = AdmissionGate(
-            payload.original, payload.rewritten,
-            seed=cfg["seed"],
-            oracle_trials=cfg["oracle_trials"],
-            oracle_max_steps=cfg["oracle_max_steps"],
-            max_oracle_regions=cfg["max_oracle_regions"],
-            jobs=1, executor="serial",
-            liveness=payload.liveness,
-            injector=payload.injector,
-        )
-    except BaseException as exc:  # noqa: BLE001 - must surface, not die raw
-        outbox.send(("init-error", worker_id, None,
-                     f"{type(exc).__name__}: {exc}"))
-        return
     outbox.send(("ready", worker_id, None, None))
     while True:
         item = inbox.get()
@@ -220,13 +183,13 @@ class _Worker:
     private pipes a dying worker can only ever corrupt its own channel.
     """
 
-    def __init__(self, ctx, worker_id: int, payload_bytes: bytes):
+    def __init__(self, ctx, worker_id: int, gate):
         self.id = worker_id
         self.inbox = ctx.Queue()
         self.conn, child_conn = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, self.inbox, child_conn, payload_bytes),
+            args=(worker_id, self.inbox, child_conn, gate),
             daemon=True,
         )
         self.process.start()
@@ -285,11 +248,15 @@ class _Worker:
 
 
 class FaultIsolatedPool:
-    """Crash-/hang-tolerant process pool over region work items."""
+    """Crash-/hang-tolerant process pool over region work items.
+
+    *gate* is the parent's built admission gate; forked workers verify
+    on their inherited copy of it.
+    """
 
     def __init__(
         self,
-        payload: PoolPayload,
+        gate,
         jobs: int,
         *,
         region_timeout: Optional[float] = None,
@@ -300,7 +267,7 @@ class FaultIsolatedPool:
         job_id=None,
         deadline: Optional[float] = None,
     ):
-        self.payload_bytes = pickle.dumps(payload)
+        self.gate = gate
         self.jobs = max(1, jobs)
         self.region_timeout = region_timeout
         #: Absolute ``time.monotonic()`` instant the run must not
@@ -319,8 +286,8 @@ class FaultIsolatedPool:
         self.job_id = job_id if job_id is not None else id(self)
         try:
             self.ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            self.ctx = multiprocessing.get_context("spawn")
+        except ValueError as exc:
+            raise PoolBrokenError(f"no fork start method: {exc}") from None
 
     def _inc(self, name: str, **extra) -> None:
         if self.telemetry is not None and self.telemetry.enabled:
@@ -349,7 +316,7 @@ class FaultIsolatedPool:
 
         def spawn() -> _Worker:
             nonlocal next_id
-            worker = _Worker(self.ctx, next_id, self.payload_bytes)
+            worker = _Worker(self.ctx, next_id, self.gate)
             workers[worker.id] = worker
             next_id += 1
             return worker
@@ -406,7 +373,7 @@ class FaultIsolatedPool:
                 if state["stillbirths"] >= _MAX_STILLBIRTHS:
                     raise PoolBrokenError(
                         f"{state['stillbirths']} workers died before becoming "
-                        "ready; payload or pool setup is broken")
+                        "ready; pool setup is broken")
         finally:
             if self.slots is not None:
                 self.slots.unregister(self.job_id)
@@ -471,9 +438,6 @@ class FaultIsolatedPool:
                 if sender is not None:
                     sender.ready = True
                 continue
-            if kind == "init-error":
-                raise PoolBrokenError(
-                    f"worker {worker_id} failed to start: {body}")
             if idx is None or idx in outcomes:
                 continue  # stale message from a worker the watchdog retired
             item = worker.item if (worker.item is not None

@@ -157,7 +157,8 @@ class RewriteService:
         self.worker_budget = max(1, total)
         self.slots = WorkerSlotArbiter(self.worker_budget)
         #: Per-job executor override (None = pipeline auto-select:
-        #: process when the job gets more than one worker slot).
+        #: process only when at least two of the job's regions can be
+        #: verified at once; a one-region job verifies in-line).
         self.executor = executor
         #: Server-side override pinning every job's oracle trials (the
         #: cache key depends on it; a fleet wants one policy).

@@ -35,7 +35,6 @@ from typing import Callable, Optional
 from repro.core.procpool import (
     FaultIsolatedPool,
     PoolBrokenError,
-    PoolPayload,
     RegionWorkItem,
 )
 from repro.core.smile import smile_window_target, smile_window_violations
@@ -217,35 +216,15 @@ class AdmissionGate:
                         telemetry) -> None:
         """Fan out across a crash-/hang-tolerant process pool.
 
-        Each worker rebuilds the gate from a pickled payload carrying
-        the *resolved* seed, so verdicts depend only on (payload, region
-        index) — identical bytes regardless of worker, attempt, or a
-        mid-run ``REPRO_FUZZ_SEED`` change.
+        Forked workers verify on their inherited copy of this gate, whose
+        seed is already resolved, so verdicts depend only on (gate,
+        region index) — identical bytes regardless of worker, attempt,
+        or a mid-run ``REPRO_FUZZ_SEED`` change.
         """
-        payload = PoolPayload(
-            original=self.original, rewritten=self.rewritten,
-            gate_config={
-                "seed": self.seed,
-                "oracle_trials": self.oracle.trials,
-                "oracle_max_steps": self.oracle.max_steps,
-                "max_oracle_regions": self.max_oracle_regions,
-            },
-            liveness=self.oracle._liveness,
-            injector=self.injector,
-        )
         items = [RegionWorkItem(idx, self.records[idx].start,
                                 self.records[idx].end, self.records[idx].kind,
                                 self.seed)
                  for idx in indices]
-        pool = FaultIsolatedPool(
-            payload, self.jobs, region_timeout=self.region_timeout,
-            retry_policy=self.retry_policy, telemetry=telemetry,
-            labels={"binary": self.rewritten.name},
-            slots=self.slots,
-            job_id=self.job_id if self.job_id is not None
-            else self.rewritten.name,
-            deadline=self.deadline)
-
         pool_quarantined: set[int] = set()
 
         def on_complete(outcome) -> None:
@@ -264,11 +243,19 @@ class AdmissionGate:
                 on_region(outcome.index, verdict, outcome.oracle_ran)
 
         try:
+            pool = FaultIsolatedPool(
+                self, self.jobs, region_timeout=self.region_timeout,
+                retry_policy=self.retry_policy, telemetry=telemetry,
+                labels={"binary": self.rewritten.name},
+                slots=self.slots,
+                job_id=self.job_id if self.job_id is not None
+                else self.rewritten.name,
+                deadline=self.deadline)
             pool.run(items, on_complete=on_complete)
         except PoolBrokenError as exc:
-            # The pool itself could not be brought up (payload failed to
-            # unpickle, fork bomb guard, ...).  Verification must still
-            # complete: record the fault and finish in-process.
+            # The pool itself could not be brought up (no fork on this
+            # host, workers dying before ready, ...).  Verification must
+            # still complete: record the fault and finish in-process.
             if telemetry.enabled:
                 telemetry.metrics.inc("pipeline.pool_fallbacks",
                                       binary=self.rewritten.name)

@@ -108,6 +108,69 @@ class TestExecutors:
         assert serial.report.as_dict() == pooled.report.as_dict()
 
 
+class TestExecutorChoice:
+    """Unset, the executor is chosen after the rewrite: the pool runs
+    only when at least two regions can verify at once."""
+
+    @pytest.fixture
+    def pool_runs(self, monkeypatch):
+        from repro.core import procpool
+
+        runs = []
+        real_run = procpool.FaultIsolatedPool.run
+
+        def counting_run(pool, items, on_complete=None):
+            runs.append(len(items))
+            return real_run(pool, items, on_complete=on_complete)
+
+        monkeypatch.setattr(procpool.FaultIsolatedPool, "run", counting_run)
+        return runs
+
+    def test_one_region_kernel_verifies_in_line(self, pool_runs):
+        from repro.workloads.programs import ALL_WORKLOADS
+
+        def matmul():
+            return ALL_WORKLOADS["matmul"].build("ext")
+
+        events = []
+        auto = rewrite_and_verify(
+            matmul(), RV64GC, oracle_trials=1, jobs=2,
+            on_progress=lambda stage, **info: events.append((stage, info)))
+        serial = rewrite_and_verify(matmul(), RV64GC, oracle_trials=1,
+                                    executor="serial")
+        assert len(auto.report.regions) == 1
+        assert pool_runs == []
+        verify_info, = [info for stage, info in events if stage == "verify"]
+        assert verify_info["executor"] == "serial"
+        assert auto.report.to_json() == serial.report.to_json()
+
+    def test_multi_region_binary_keeps_the_pool(self, pool_runs):
+        auto = rewrite_and_verify(_gcc(), RV64GC, oracle_trials=1, jobs=2)
+        serial = rewrite_and_verify(_gcc(), RV64GC, oracle_trials=1,
+                                    executor="serial")
+        assert pool_runs == [len(auto.report.regions)]
+        assert len(auto.report.regions) > 1
+        assert auto.report.to_json() == serial.report.to_json()
+
+    def test_resume_with_one_region_left_verifies_in_line(self, tmp_path,
+                                                          pool_runs):
+        from repro.chaos import InjectedPipelineKill, PipelineFailureInjector
+
+        serial = rewrite_and_verify(_gcc(), RV64GC, oracle_trials=1,
+                                    executor="serial")
+        regions = len(serial.report.regions)
+        injector = PipelineFailureInjector(abort_after_regions=regions - 1)
+        with pytest.raises(InjectedPipelineKill):
+            rewrite_and_verify(_gcc(), RV64GC, oracle_trials=1,
+                               executor="serial", cache_dir=tmp_path,
+                               failure_injector=injector)
+        resumed = rewrite_and_verify(_gcc(), RV64GC, oracle_trials=1, jobs=2,
+                                     cache_dir=tmp_path)
+        assert resumed.resumed_regions == regions - 1
+        assert pool_runs == []
+        assert resumed.report.to_json() == serial.report.to_json()
+
+
 class TestCacheCrashSafety:
     def test_torn_entry_is_repaired_and_counted(self, tmp_path):
         from repro.telemetry import Telemetry, use

@@ -10,6 +10,7 @@ be kept alive.
 """
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -60,6 +61,16 @@ class TestFaultFreeIdentity:
         serial = _verify(pair, executor="serial")
         pooled = _verify(pair, executor="process", jobs=2)
         assert pooled.as_dict() == serial.as_dict()
+        assert not pooled.faults
+
+    def test_unpicklable_injector_runs_in_forked_workers(self, pair):
+        # Workers inherit the gate through fork, so an injector holding
+        # a lambda needs no pickling and cannot raise a raw traceback.
+        injector = SimpleNamespace(
+            before_region=lambda idx, attempt, record: None)
+        serial = _verify(pair, executor="serial", injector=injector)
+        pooled = _verify(pair, executor="process", jobs=2, injector=injector)
+        assert pooled.to_json() == serial.to_json()
         assert not pooled.faults
 
     def test_rejects_unknown_executor(self, pair):
@@ -163,6 +174,20 @@ class TestPoolBrokenFallback:
         pool_faults = [f for f in report.faults if f.fault == POOL_BROKEN]
         assert len(pool_faults) == 1
         assert pool_faults[0].region_kind == "pipeline"
+
+    def test_host_without_fork_falls_back_to_serial(self, pair, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(procpool.multiprocessing, "get_context", no_fork)
+        clean = _verify(pair, executor="serial")
+        report = _verify(pair, executor="process", jobs=2)
+        assert [r.as_dict() for r in report.regions] == \
+            [r.as_dict() for r in clean.regions]
+        pool_fault, = report.faults
+        assert (pool_fault.fault, pool_fault.region_kind) == (POOL_BROKEN,
+                                                              "pipeline")
+        assert "fork" in pool_fault.detail
 
 
 class TestWorkItems:
