@@ -19,6 +19,9 @@ all of these, and the simulated CPU converts that into a SIGILL.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 from repro.isa import opcodes as op
 from repro.isa.encoding import _BRANCH_TABLE, _LOAD_TABLE, _OP32_TABLE, _OP_TABLE, _OPIMM_TABLE, _STORE_TABLE
 from repro.isa.extensions import Extension
@@ -387,6 +390,23 @@ def _decode_c(parcel: int) -> Instruction:
     raise IllegalEncodingError(f"unimplemented Q2 funct3 {funct3:#b}", kind="reserved-compressed")
 
 
+#: The ``Instruction`` fields a decode derives from the encoding alone:
+#: every constructor argument but the last, ``addr``.
+_FIELDS = tuple(f.name for f in dataclasses.fields(Instruction))[:-1]
+
+
+@functools.lru_cache(maxsize=16384)
+def _decoded_fields(word: int) -> tuple:
+    """The decoded fields of one 16-bit parcel or 32-bit word.
+
+    The two never collide: a parcel's low two bits are not ``11`` and a
+    32-bit word's are.  An illegal encoding raises, and ``lru_cache``
+    stores no entry for a call that raised.
+    """
+    instr = _decode32(word) if word & 0b11 == 0b11 else _decode_c(word)
+    return tuple(getattr(instr, f) for f in _FIELDS)
+
+
 def decode(data: bytes | bytearray | memoryview, offset: int = 0, addr: int | None = None) -> Instruction:
     """Decode one instruction starting at *offset* in *data*.
 
@@ -394,17 +414,18 @@ def decode(data: bytes | bytearray | memoryview, offset: int = 0, addr: int | No
     pc-relative targets can be resolved.  Raises
     :class:`IllegalEncodingError` for truncated input, reserved
     encodings, and encodings outside the implemented subset.
+
+    Decoding is memoized per instruction word: a binary repeats a few
+    thousand distinct words across hundreds of thousands of decodes
+    (scan, static checks, every simulated core).  Each call still
+    returns a fresh ``Instruction``, because callers mutate what they
+    get back; illegal encodings are never cached and raise every time.
     """
     if offset + 2 > len(data):
         raise IllegalEncodingError("truncated instruction stream", kind="truncated")
-    parcel = u16(data, offset)
-    length = instruction_length(parcel)
-    if length == 2:
-        instr = _decode_c(parcel)
-    else:
+    word = u16(data, offset)
+    if instruction_length(word) == 4:
         if offset + 4 > len(data):
             raise IllegalEncodingError("truncated 32-bit instruction", kind="truncated")
-        instr = _decode32(u32(data, offset))
-    if addr is not None:
-        instr.addr = addr
-    return instr
+        word = u32(data, offset)
+    return Instruction(*_decoded_fields(word), addr)

@@ -91,6 +91,7 @@ class Cpu:
         block_cache: bool = True,
         trace_cache: bool = True,
         trace_threshold: int = DEFAULT_TRACE_THRESHOLD,
+        decode_cache: Optional[dict] = None,
     ):
         self.space = space
         self.profile = profile
@@ -128,8 +129,12 @@ class Cpu:
         #: tests asserting exact counter contents are unaffected.
         self.count_decode = False
         # decode cache: addr -> (instr, op, tag, seg, seg_version), where
-        # op is the instruction's closure from repro.sim.semantics
-        self._dcache: dict[int, tuple[Instruction, Callable, Optional[str], object, int]] = {}
+        # op is the instruction's closure from repro.sim.semantics.  Cpus
+        # of one profile and one tag map over one space may share it
+        # (``decode_cache``): every probe checks the segment version, and
+        # ops take the cpu as an argument.
+        self._dcache: dict[int, tuple[Instruction, Callable, Optional[str], object, int]] = (
+            {} if decode_cache is None else decode_cache)
         #: Superblock engine switch: when True, :meth:`run` executes
         #: straight-line runs from a basic-block cache; when any hook
         #: (step_hook/tracer/tag_addrs) is live it falls back to

@@ -336,7 +336,8 @@ class AdmissionGate:
         return self._verify_region(idx)
 
     def _verify_region(self, idx: int) -> tuple[RegionVerdict, bool]:
-        """All four checks for region *idx*; safe to run concurrently."""
+        """All four checks for region *idx*; the verdict does not depend
+        on which regions this gate verified before it."""
         rec = self.records[idx]
         verdict = RegionVerdict(rec.start, rec.end, rec.kind)
         verdict.checks.append(self._check_encoding(rec))

@@ -23,6 +23,16 @@ is identical.  Trials that exhaust the step budget are reported as
 Randomness is seeded from ``REPRO_FUZZ_SEED`` (see
 :mod:`repro.resilience.seeds`) xor'd with the region address and trial
 index, so a failing trial reproduces byte-for-byte.
+
+The oracle is a reusable engine: it loads each side once per gate, on
+that side's first trial, and keeps the pristine bytes of its writable
+segments (data/bss, ``[stack]``, ``.chimera.vregs``).  Every trial
+starts by restoring those bytes in place, then wraps the space in a
+fresh ``Process``, ``Kernel``, runtime and ``Cpu``; all of one side's
+cpus share one decode cache, whose entries are validated by segment
+version.  A trial that changes a side's segment list, a segment's size
+or any segment's version makes the next trial reload that side.  A
+trial therefore sees exactly the image a fresh load would give it.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from repro.sim.faults import (
     SimFault,
     UnrecoverableFault,
 )
-from repro.sim.machine import Core, Kernel
+from repro.sim.machine import Core, Kernel, Process
 from repro.verify.records import PatchRecord
 
 #: Registers the trials never randomize: zero, and the ABI-pinned
@@ -56,6 +66,40 @@ _PINNED = frozenset({int(Reg.ZERO), int(Reg.SP), int(Reg.GP), int(Reg.TP)})
 #: Segment names excluded from scribbling and comparison.
 _PRIVATE_PREFIX = ".chimera"
 _STACK = "[stack]"
+
+
+class _Side:
+    """One binary's reusable trial image.
+
+    Holds a loaded address space, the pristine bytes of its writable
+    segments, and the decode cache every trial's cpu on this side uses.
+    """
+
+    def __init__(self, process: Process):
+        self.template = process
+        self.pristine = [(seg, bytes(seg.data))
+                         for seg in process.space.segments if Perm.W in seg.perm]
+        self.dcache: dict = {}
+        self.layout = self._layout()
+
+    def _layout(self) -> list:
+        return [(seg, seg.size, seg.version)
+                for seg in self.template.space.segments]
+
+    def intact(self) -> bool:
+        """True while no trial has remapped, resized or patched a segment."""
+        return self._layout() == self.layout
+
+    def fresh_process(self) -> Process:
+        """Restore the pristine writable bytes; wrap them in a new Process."""
+        for seg, blob in self.pristine:
+            seg.data[:] = blob
+            if Perm.X in seg.perm:
+                # Restored code bytes: no decode of the last trial's may survive.
+                seg.version += 1
+        self.layout = self._layout()
+        t = self.template
+        return Process(t.name, t.space, t.entry, gp=t.gp, sp=t.sp)
 
 
 class _SideResult:
@@ -113,6 +157,8 @@ class DifferentialOracle:
         #: computed exactly this to prove exit registers dead; passing it
         #: in skips a redundant scan+cfg+dataflow pass.
         self._liveness = liveness
+        #: "o"/"r" -> the loaded side, built on its first trial.
+        self._sides: dict[str, _Side] = {}
 
     # -- analysis (matches the patcher's own parameters) --------------------
 
@@ -133,16 +179,27 @@ class DifferentialOracle:
             outcomes.append(self._run_trial(rec, rng))
         return outcomes
 
+    def _side(self, key: str, binary: Binary) -> _Side:
+        """The loaded side *key*, reloaded when the last trial changed it.
+        A load failure raises here, on every trial, as a fresh load would."""
+        side = self._sides.get(key)
+        if side is None or not side.intact():
+            side = _Side(make_process(binary, name=f"{binary.name}@oracle-{key}"))
+            self._sides[key] = side
+        return side
+
     def _run_trial(self, rec: PatchRecord, rng: random.Random) -> str:
-        o_proc = make_process(self.original, name=f"{self.original.name}@oracle-o")
-        r_proc = make_process(self.rewritten, name=f"{self.rewritten.name}@oracle-r")
+        o_side = self._side("o", self.original)
+        r_side = self._side("r", self.rewritten)
+        o_proc = o_side.fresh_process()
+        r_proc = r_side.fresh_process()
         regs = self._trial_regs(rng, o_proc)
         self._scribble(rng, o_proc, r_proc)
 
-        o = self._run_side(self.original, o_proc, self.source_profile, rec, regs,
-                           runtime=False)
-        r = self._run_side(self.rewritten, r_proc, self.target_profile, rec, regs,
-                           runtime=True)
+        o = self._run_side(self.original, o_proc, o_side.dcache,
+                           self.source_profile, rec, regs, runtime=False)
+        r = self._run_side(self.rewritten, r_proc, r_side.dcache,
+                           self.target_profile, rec, regs, runtime=True)
 
         if r.status == "unrecoverable":
             return (f"mismatch: rewritten side raised UnrecoverableFault "
@@ -195,8 +252,9 @@ class DifferentialOracle:
                 seg = next(s for s in process.space.segments if s.name == name)
                 seg.data[:len(blob)] = blob
 
-    def _run_side(self, binary, process, profile, rec: PatchRecord,
-                  regs: list[int], *, runtime: bool) -> _SideResult:
+    def _run_side(self, binary, process, dcache: dict, profile,
+                  rec: PatchRecord, regs: list[int], *,
+                  runtime: bool) -> _SideResult:
         # Imported here, not at module level: the runtime itself imports
         # repro.verify (rollback journal), so a top-level import cycles.
         from repro.core.runtime import ChimeraRuntime
@@ -206,7 +264,7 @@ class DifferentialOracle:
         if runtime:
             rt = ChimeraRuntime(binary)
             rt.install(kernel)
-        cpu = kernel.make_cpu(process, Core(0, profile))
+        cpu = kernel.make_cpu(process, Core(0, profile), decode_cache=dcache)
         for idx, value in enumerate(regs):
             if idx not in _PINNED:
                 cpu.set_reg(idx, value)
