@@ -125,6 +125,12 @@ def _chbp(binary, target, arch=DEFAULT_ARCH, **options) -> dict:
                        .rewrite(binary, target).binary)
 
 
+@lru_cache(maxsize=None)
+def spec_chbp_digest(name: str, mode: str) -> dict:
+    """CHBP rewrite of one SPEC profile for rv64gc (shared with the sweep golden)."""
+    return _chbp(spec_binary(name), RV64GC, FIG13_ARCH, mode=mode)
+
+
 def _degrade() -> dict:
     rewritten = ChimeraRewriter(arch=FIG13_ARCH).rewrite(
         spec_binary(PROBE), RV64GC).binary
@@ -173,8 +179,7 @@ def cases() -> dict:
     for name in FIG13:
         for mode in ("full", "empty"):
             out[f"chbp-{mode}/{name}"] = (
-                lambda n=name, m=mode: _chbp(spec_binary(n), RV64GC,
-                                             FIG13_ARCH, mode=m))
+                lambda n=name, m=mode: spec_chbp_digest(n, m))
     for name in sorted(ALL_WORKLOADS):
         out[f"kernel/{name}/rv64gc"] = (
             lambda n=name: _chbp(kernel_binary(n, "ext"), RV64GC))
