@@ -18,7 +18,7 @@ forward through these answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.analysis.cfg import UNKNOWN, ControlFlowGraph
 from repro.isa.instructions import Instruction
@@ -69,22 +69,73 @@ def _defs(instr: Instruction) -> frozenset[int]:
     return instr.regs_written()
 
 
-@dataclass
-class LivenessResult:
-    """Per-address live-before sets plus query helpers."""
+def _mask(regs) -> int:
+    out = 0
+    for reg in regs:
+        out |= 1 << reg
+    return out
 
-    live_before: dict[int, frozenset[int]]
-    live_out: dict[int, frozenset[int]]  # per block start
+
+_ALL_MASK = _mask(ALL_REGS)
+_ABI_MASK = _mask(ABI_LIVE_AT_RETURN)
+_EXIT_MASK = _mask((int(Reg.A0), int(Reg.A7)))
+
+
+@lru_cache(maxsize=16384)
+def _shape_masks(mnemonic: str, rd, rs1, rs2) -> tuple[int, int]:
+    """(use mask, def mask) of every instruction with these fields.
+
+    They are all ``_uses`` and ``_defs`` read, and a binary repeats a
+    few thousand such shapes over all of its instructions.
+    """
+    instr = Instruction(mnemonic, rd=rd, rs1=rs1, rs2=rs2)
+    return _mask(_uses(instr)), _mask(_defs(instr))
+
+
+@lru_cache(maxsize=4096)
+def _dead_set(live: int) -> frozenset[int]:
+    """The registers of x1..x31 that are not in the *live* mask."""
+    return frozenset(reg for reg in range(1, 32) if not live >> reg & 1)
+
+
+class LivenessResult:
+    """Per-block live-out masks, expanded per block on first query.
+
+    A query for any address of a block sweeps that block backward once
+    and keeps the live-before mask of each of its instructions.
+    """
+
+    def __init__(self, cfg: ControlFlowGraph, live_out: dict[int, int]):
+        self._cfg = cfg
+        #: Block start -> live-out register mask.
+        self._live_out = live_out
+        #: Instruction address -> live-before mask, for expanded blocks.
+        self._live_before: dict[int, int] = {}
+
+    def _live_at(self, addr: int) -> int | None:
+        live = self._live_before.get(addr)
+        if live is None:
+            start = self._cfg._block_of.get(addr)
+            if start is None:
+                return None
+            live = self._live_out[start]
+            out = self._live_before
+            for instr in reversed(self._cfg.blocks[start].instructions):
+                use, defs = _shape_masks(instr.mnemonic, instr.rd, instr.rs1, instr.rs2)
+                live = (live & ~defs) | use
+                out[instr.addr] = live
+            live = out[addr]
+        return live
 
     def dead_before(self, addr: int) -> frozenset[int]:
         """Registers (x1..x31) provably dead just before *addr*.
 
         Unknown addresses answer the empty set — maximally conservative.
         """
-        live = self.live_before.get(addr)
+        live = self._live_at(addr)
         if live is None:
             return frozenset()
-        return ALL_REGS - live
+        return _dead_set(live)
 
     def is_dead_before(self, addr: int, reg: int) -> bool:
         """True if *reg* is provably dead just before *addr*."""
@@ -98,60 +149,53 @@ class LivenessAnalysis:
         self.cfg = cfg
 
     def run(self) -> LivenessResult:
-        """Iterate block-level liveness to a fixpoint, then expand."""
+        """Iterate block-level liveness on register masks to a fixpoint."""
         blocks = list(self.cfg.blocks.values())
-        use: dict[int, frozenset[int]] = {}
-        defs: dict[int, frozenset[int]] = {}
+        index = {block.start: i for i, block in enumerate(blocks)}
+        use: list[int] = []
+        defs: list[int] = []
+        #: Live-out bits no successor contributes: an UNKNOWN successor,
+        #: a return, a program-exit ecall or falling off the region.
+        fixed: list[int] = []
+        succs: list[list[int]] = []
         for block in blocks:
-            u: set[int] = set()
-            d: set[int] = set()
+            u = d = 0
             for instr in block.instructions:
-                u |= (_uses(instr) - d)
-                d |= _defs(instr)
-            use[block.start] = frozenset(u)
-            defs[block.start] = frozenset(d)
+                iu, idef = _shape_masks(instr.mnemonic, instr.rd, instr.rs1, instr.rs2)
+                u |= iu & ~d
+                d |= idef
+            use.append(u)
+            defs.append(d)
+            out = 0
+            if UNKNOWN in block.successors:
+                out = _ALL_MASK
+            term = block.terminator
+            if _is_return(term):
+                out |= _ABI_MASK
+            elif not block.successors:
+                # A trailing ecall with no mapped fall-through is the
+                # program-exit idiom: only syscall args live.  Anything
+                # else fell off the analyzed region: be conservative.
+                out |= _EXIT_MASK if term.mnemonic == "ecall" else _ALL_MASK
+            fixed.append(out)
+            succs.append([index[s] for s in block.successors if s in index])
 
-        live_in: dict[int, frozenset[int]] = {b.start: frozenset() for b in blocks}
-        live_out: dict[int, frozenset[int]] = {b.start: frozenset() for b in blocks}
-
+        live_out = [0] * len(blocks)
+        live_in = list(use)
+        order = range(len(blocks) - 1, -1, -1)
         changed = True
         while changed:
             changed = False
-            for block in reversed(blocks):
-                out: set[int] = set()
-                for succ in block.successors:
-                    if succ == UNKNOWN:
-                        out |= ALL_REGS
-                    elif succ in live_in:
-                        out |= live_in[succ]
-                term = block.terminator
-                if _is_return(term):
-                    out |= ABI_LIVE_AT_RETURN
-                elif not block.successors:
-                    if term.mnemonic == "ecall":
-                        # A trailing ecall with no mapped fall-through is
-                        # the program-exit idiom: only syscall args live.
-                        out |= {int(Reg.A0), int(Reg.A7)}
-                    else:
-                        # Fell off the analyzed region: be conservative.
-                        out |= ALL_REGS
-                new_out = frozenset(out)
-                new_in = frozenset(use[block.start] | (new_out - defs[block.start]))
-                if new_out != live_out[block.start] or new_in != live_in[block.start]:
-                    live_out[block.start] = new_out
-                    live_in[block.start] = new_in
+            for i in order:
+                out = fixed[i]
+                for s in succs[i]:
+                    out |= live_in[s]
+                if out != live_out[i]:
+                    live_out[i] = out
+                    live_in[i] = use[i] | (out & ~defs[i])
                     changed = True
-
-        live_before: dict[int, frozenset[int]] = {}
-        for block in blocks:
-            live = set(live_out[block.start])
-            if _is_return(block.terminator):
-                live |= ABI_LIVE_AT_RETURN
-            for instr in reversed(block.instructions):
-                live -= _defs(instr)
-                live |= _uses(instr)
-                live_before[instr.addr] = frozenset(live)
-        return LivenessResult(live_before, live_out)
+        return LivenessResult(
+            self.cfg, {block.start: live_out[i] for i, block in enumerate(blocks)})
 
 
 def _is_return(instr: Instruction) -> bool:

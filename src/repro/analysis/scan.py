@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.elf.binary import Binary, Perm
 from repro.isa.decoding import IllegalEncodingError, decode
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import TERMINATORS, Instruction
 from repro.telemetry import current as telemetry_current
 from repro.telemetry.exec_trace import instruction_class
 
@@ -128,19 +128,30 @@ class RecursiveScanner:
 
     def _drain(self, worklist, instructions, direct_targets, unresolved,
                jump_tables, text_sections, in_text) -> None:
+        # The section the last address fell in: a run of addresses, and
+        # most branch targets, stay inside it.
+        lo = hi = 0
+        data = b""
         while worklist:
             addr = worklist.pop()
-            while in_text(addr) and addr not in instructions:
-                section = next(s for s in text_sections if s.contains(addr))
+            while addr not in instructions:
+                if not lo <= addr < hi:
+                    section = next((s for s in text_sections if s.contains(addr)), None)
+                    if section is None:
+                        break
+                    lo, hi, data = section.addr, section.end, section.data
                 try:
-                    instr = decode(section.data, addr - section.addr, addr=addr)
+                    instr = decode(data, addr - lo, addr=addr)
                 except IllegalEncodingError:
                     break  # sound: stop at anything that is not provably code
                 instructions[addr] = instr
+                if instr.mnemonic not in TERMINATORS:
+                    addr += instr.length
+                    continue
                 target = instr.target()
                 if target is not None:
                     direct_targets.add(target)
-                    if in_text(target):
+                    if lo <= target < hi or in_text(target):
                         worklist.append(target)
                 if instr.is_indirect_jump():
                     if addr in jump_tables:
@@ -163,9 +174,6 @@ class RecursiveScanner:
                         addr += instr.length
                         continue
                     break
-                if instr.mnemonic in ("ecall", "ebreak", "c.ebreak"):
-                    addr += instr.length
-                    continue
                 addr += instr.length
 
 

@@ -19,14 +19,13 @@ all of these, and the simulated CPU converts that into a SIGILL.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 from repro.isa import opcodes as op
 from repro.isa.encoding import _BRANCH_TABLE, _LOAD_TABLE, _OP32_TABLE, _OP_TABLE, _OPIMM_TABLE, _STORE_TABLE
 from repro.isa.extensions import Extension
 from repro.isa.fields import bit, bits, sign_extend, u16, u32
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import Instruction, encoding_fields
 from repro.isa.registers import rvc_decode_reg
 
 
@@ -390,11 +389,6 @@ def _decode_c(parcel: int) -> Instruction:
     raise IllegalEncodingError(f"unimplemented Q2 funct3 {funct3:#b}", kind="reserved-compressed")
 
 
-#: The ``Instruction`` fields a decode derives from the encoding alone:
-#: every constructor argument but the last, ``addr``.
-_FIELDS = tuple(f.name for f in dataclasses.fields(Instruction))[:-1]
-
-
 @functools.lru_cache(maxsize=16384)
 def _decoded_fields(word: int) -> tuple:
     """The decoded fields of one 16-bit parcel or 32-bit word.
@@ -404,7 +398,7 @@ def _decoded_fields(word: int) -> tuple:
     stores no entry for a call that raised.
     """
     instr = _decode32(word) if word & 0b11 == 0b11 else _decode_c(word)
-    return tuple(getattr(instr, f) for f in _FIELDS)
+    return encoding_fields(instr)
 
 
 def decode(data: bytes | bytearray | memoryview, offset: int = 0, addr: int | None = None) -> Instruction:

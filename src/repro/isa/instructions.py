@@ -9,7 +9,8 @@ them via a mnemonic-keyed dispatch table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Optional
 
 from repro.isa.extensions import Extension
@@ -131,6 +132,14 @@ class Instruction:
         if self.addr is not None:
             return f"{self.addr:#x}: {body}"
         return body
+
+
+#: The ``Instruction`` fields its encoding determines: every constructor
+#: argument but the last, ``addr``.
+ENCODING_FIELDS = tuple(f.name for f in fields(Instruction))[:-1]
+
+#: An instruction's values of :data:`ENCODING_FIELDS`, as one tuple.
+encoding_fields = attrgetter(*ENCODING_FIELDS)
 
 
 @dataclass(slots=True)
